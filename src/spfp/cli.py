@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 from dataclasses import asdict, dataclass, fields
@@ -40,7 +41,7 @@ from .seeding import HOLDOUT_STREAM
 
 __all__ = ["RunConfig", "main", "build_parser", "FORMAT_VERSION"]
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 EXIT_OK, EXIT_CONFIG, EXIT_DATA, EXIT_INTERNAL = 0, 2, 3, 4
 
 
@@ -63,7 +64,6 @@ class RunConfig:
     bins: int = 10
     discretizer: str = "equal_frequency"
     relevance_correlation: str = "codes"
-    workers: int = 0
     test_fraction: float = 0.33
     missing_policy: str = "error"
     holdout_fraction: float = 0.2
@@ -77,6 +77,11 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
+        if doc.get("format_version", 1) < 2:
+            # Format 1 carried the thread count of a since-removed pool;
+            # it never changed a result, so the config reads as format 2.
+            doc = {k: v for k, v in doc.items() if k != "workers"}
+            doc["format_version"] = FORMAT_VERSION
         known = {f.name for f in fields(cls)}
         unknown = set(doc) - known
         if unknown:
@@ -96,14 +101,13 @@ class RunConfig:
             bins=self.bins,
             discretizer=self.discretizer,
             relevance_correlation=self.relevance_correlation,
-            workers=self.workers,
         )
 
 
 def _write_json(path: Path, doc: dict) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+        json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -182,7 +186,6 @@ def cmd_partition(args) -> int:
         bins=args.bins,
         discretizer=args.discretizer,
         relevance_correlation=args.relevance,
-        workers=args.workers,
         test_fraction=args.test_frac,
         missing_policy=args.missing_policy,
     )
@@ -291,6 +294,8 @@ def _read_proba_csv(path: Path, n_rows: int, n_classes: int) -> np.ndarray:
             raise DataError(f"{path.name} row {i}: unparseable value") from exc
         if rid != i:
             raise DataError(f"{path.name} row {i}: row_id {rid} out of order")
+        if not all(math.isfinite(v) for v in values):
+            raise DataError(f"{path.name} row {i}: non-finite probability")
         if min(values) < 0.0 or max(values) > 1.0:
             raise DataError(f"{path.name} row {i}: probabilities outside [0,1]")
         if abs(sum(values) - 1.0) > 1e-6:
@@ -629,8 +634,6 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["error", "drop", "median"])
     p.add_argument("--relevance", default="codes", choices=["codes", "max_ovr"],
                    help="target encoding for the Pearson relevance term")
-    p.add_argument("--workers", type=int, default=0,
-                   help="threads for candidate scoring (0 = auto)")
     p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_partition)
 

@@ -2,7 +2,7 @@
 
 CSV files are expected UTF-8, comma-separated, with a header row and '.'
 decimal points. The target column is label-encoded in first-appearance
-order; all other columns must parse as numbers. Continuous features are
+order; all other columns must parse as finite numbers. Continuous features are
 discretized to small-integer codes so the plug-in entropy estimators in
 :mod:`spfp.infometrics` apply.
 """
@@ -94,16 +94,19 @@ class SplitSpec:
 
 
 def _parse_cell(text: str, row: int, column: str) -> float:
-    """Parse one numeric cell; missing tokens map to NaN."""
+    """Parse one numeric cell; missing tokens map to NaN, infinities fail."""
     stripped = text.strip()
     if stripped.lower() in _MISSING_TOKENS:
         return math.nan
     try:
-        return float(stripped)
+        value = float(stripped)
     except ValueError:
         raise DataError(
             f"unparseable cell at row {row}, column '{column}': {text!r}"
         ) from None
+    if math.isinf(value):
+        raise DataError(f"non-finite cell at row {row}, column '{column}': {text!r}")
+    return value
 
 
 def load_csv(path, target_column, missing_policy: str = "error") -> Dataset:

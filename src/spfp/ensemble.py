@@ -16,9 +16,9 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import ConfigError, DataError
+from .evalstats import midranks
 
 __all__ = [
     "ProbModel",
@@ -239,7 +239,7 @@ def _ovr_auc(proba: np.ndarray, truth: np.ndarray) -> float:
         n_pos = int(pos.sum())
         if n_pos == 0 or n_pos == n:
             continue
-        ranks = rankdata(proba[:, c])
+        ranks = midranks(proba[:, c])
         auc = (float(ranks[pos].sum()) - n_pos * (n_pos + 1) / 2.0) / (
             n_pos * (n - n_pos)
         )

@@ -16,13 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import chi2, rankdata
-from scipy.stats import t as student_t
 
 from .errors import ConfigError, DataError
 from .seeding import BOOTSTRAP_STREAM, substream
 
 __all__ = [
+    "midranks",
     "RunMatrix",
     "ComparisonVerdict",
     "friedman",
@@ -79,8 +78,19 @@ class ComparisonVerdict:
         }
 
 
-def _block_ranks(values: np.ndarray) -> np.ndarray:
-    return rankdata(values, axis=1)
+def midranks(values, axis: int = -1) -> np.ndarray:
+    """1-based ranks of finite values along `axis`, ties sharing the mean
+    of their positions (scipy's ``rankdata(method="average")``).
+
+    A midrank is a whole or half number, so the result is exact.
+    """
+
+    def ranks_1d(x: np.ndarray) -> np.ndarray:
+        _, inverse, counts = np.unique(x, return_inverse=True, return_counts=True)
+        last = np.cumsum(counts)  # 1-based position of each tie run's end
+        return (last - (counts - 1) / 2.0)[inverse]
+
+    return np.apply_along_axis(ranks_1d, axis, np.asarray(values, dtype=np.float64))
 
 
 def _rank_terms(values: np.ndarray):
@@ -89,7 +99,7 @@ def _rank_terms(values: np.ndarray):
     Returns (rank sums per treatment, sum of squared ranks A2, the
     no-information baseline C2, statistic T1)."""
     n, k = values.shape
-    ranks = _block_ranks(values)
+    ranks = midranks(values, axis=1)
     rank_sums = ranks.sum(axis=0)
     a2 = float((ranks**2).sum())
     c2 = n * k * (k + 1) ** 2 / 4.0
@@ -105,7 +115,9 @@ def friedman(m: RunMatrix) -> tuple[float, float]:
     _, a2, c2, t1 = _rank_terms(m.values)
     if a2 == c2:
         return 0.0, 1.0
-    return t1, float(chi2.sf(t1, k - 1))
+    from scipy.special import chdtrc  # chi2.sf(x, df); loaded only when needed
+
+    return t1, float(chdtrc(k - 1, t1))
 
 
 def conover_posthoc(m: RunMatrix) -> np.ndarray:
@@ -122,6 +134,8 @@ def conover_posthoc(m: RunMatrix) -> np.ndarray:
     out = np.ones((k, k))
     if a2 == c2:
         return out
+    from scipy.special import stdtr  # t.sf(x, df) = stdtr(df, -x)
+
     spread = max(0.0, 1.0 - t1 / (n * (k - 1)))
     se2 = 2.0 * n * (a2 - c2) * spread / df
     for i in range(k):
@@ -130,7 +144,7 @@ def conover_posthoc(m: RunMatrix) -> np.ndarray:
             if se2 <= 0.0:
                 p = 0.0 if diff > 0.0 else 1.0
             else:
-                p = 2.0 * float(student_t.sf(diff / np.sqrt(se2), df))
+                p = 2.0 * float(stdtr(df, -(diff / np.sqrt(se2))))
             out[i, j] = out[j, i] = min(1.0, p)
     return out
 

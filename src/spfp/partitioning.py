@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,9 +45,6 @@ __all__ = [
     "conditional_independence_report",
 ]
 
-_PARALLEL_THRESHOLD = 64
-
-
 @dataclass
 class SpfpConfig:
     """Parameters of the partitioning run.
@@ -68,7 +64,6 @@ class SpfpConfig:
     bins: int = 10
     discretizer: str = "equal_frequency"
     relevance_correlation: str = "codes"
-    workers: int = 0
 
     def __post_init__(self) -> None:
         if self.n_views < 1:
@@ -257,7 +252,6 @@ class _Context:
     h_fy: float
     n_f: int
     tol: float
-    workers: int
 
 
 def _build_context(d: Dataset, coded: CodedMatrix, config: SpfpConfig) -> _Context:
@@ -270,7 +264,6 @@ def _build_context(d: Dataset, coded: CodedMatrix, config: SpfpConfig) -> _Conte
     full = RowPartition.from_columns(coded.codes.T)
     h_f = full.entropy()
     h_fy = full.refine(d.target).entropy()
-    workers = config.workers if config.workers > 0 else min(4, _cpu_count())
     return _Context(
         coded=coded,
         target=d.target,
@@ -281,42 +274,7 @@ def _build_context(d: Dataset, coded: CodedMatrix, config: SpfpConfig) -> _Conte
         h_fy=h_fy,
         n_f=config.resolve_min_features(n_feat),
         tol=config.entropy_tolerance,
-        workers=workers,
     )
-
-
-def _cpu_count() -> int:
-    import os
-
-    return os.cpu_count() or 1
-
-
-def _fill_pair_block(
-    cache: PairCache, winner: int, candidates: np.ndarray, workers: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """MI/CMI of `winner` against every candidate, parallel over chunks.
-
-    Cache fills are pure recomputations, so the chunk schedule cannot change
-    any value; the returned arrays are positionally aligned with
-    `candidates`.
-    """
-
-    def chunk_stats(chunk: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        mi = np.empty(chunk.shape[0])
-        cmi = np.empty(chunk.shape[0])
-        for pos, c in enumerate(chunk):
-            mi[pos], cmi[pos] = cache.pair_stats(winner, int(c))
-        return mi, cmi
-
-    if workers > 1 and candidates.shape[0] >= _PARALLEL_THRESHOLD:
-        chunks = np.array_split(candidates, workers)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(chunk_stats, chunks))
-        return (
-            np.concatenate([p[0] for p in parts]),
-            np.concatenate([p[1] for p in parts]),
-        )
-    return chunk_stats(candidates)
 
 
 def build_view(pool, ctx: _Context) -> View:
@@ -368,9 +326,9 @@ def build_view(pool, ctx: _Context) -> View:
         trace.append(StepRecord(candidates=keep.shape[0], winner=winner, criteria=crit))
 
         if pool_arr.size > 0 and not all(crit):
-            mi_new, cmi_new = _fill_pair_block(ctx.cache, winner, pool_arr, ctx.workers)
-            sum_mi += mi_new
-            sum_cmi += cmi_new
+            mi_new, cmi_new = ctx.cache.winner_stats(winner)
+            sum_mi += mi_new[pool_arr]
+            sum_cmi += cmi_new[pool_arr]
 
     termination = "criteria_met" if all(crit) else "pool_exhausted"
     return View(

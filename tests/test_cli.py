@@ -1,17 +1,20 @@
 """End-to-end tests for the command line interface.
 
 Everything here drives ``main(argv)`` in-process against artifacts in a
-tmp_path; nothing shells out.
+tmp_path; only the start-up import check runs a fresh interpreter.
 """
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from spfp.cli import FORMAT_VERSION, RunConfig, main
+from spfp.cli import FORMAT_VERSION, RunConfig, _write_json, main
 from spfp.errors import ConfigError
 
 
@@ -77,6 +80,33 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="missing required keys"):
             RunConfig.from_dict({"input": "a.csv"})
 
+    def test_format_1_config_drops_workers(self):
+        doc = {"input": "a.csv", "target": "y", "workers": 4, "format_version": 1}
+        rc = RunConfig.from_dict(doc)
+        assert rc == RunConfig(input="a.csv", target="y")
+        assert rc.format_version == FORMAT_VERSION == 2
+
+    def test_format_2_config_rejects_workers(self):
+        doc = {"input": "a.csv", "target": "y", "workers": 4, "format_version": 2}
+        with pytest.raises(ConfigError, match="unknown config keys.*workers"):
+            RunConfig.from_dict(doc)
+
+
+class TestJsonOutput:
+    def test_nan_is_refused(self, tmp_path):
+        with pytest.raises(ValueError):
+            _write_json(tmp_path / "x.json", {"score": math.nan})
+
+
+class TestStartup:
+    def test_import_loads_no_scipy(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        code = "import sys, spfp.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True, timeout=120).stdout
+        assert out.strip() == "[]"
+
 
 class TestPartitionCommand:
     def test_artifacts_and_stdout(self, workdir, capsys):
@@ -139,6 +169,26 @@ class TestPartitionCommand:
         argv = partition_argv(tmp_path / "absent.csv", tmp_path)
         assert main(argv) == 3
         assert "cannot open" in capsys.readouterr().err
+
+    def test_infinite_cell_exits_3(self, workdir, capsys):
+        tmp_path, csv_path = workdir
+        lines = csv_path.read_text().splitlines()
+        lines[5] = "inf" + lines[5][1:]
+        csv_path.write_text("\n".join(lines) + "\n")
+        assert main(partition_argv(csv_path, tmp_path)) == 3
+        assert "non-finite cell at row 5, column 'f0'" in capsys.readouterr().err
+        assert not (tmp_path / "views.json").exists()
+
+    def test_format_1_views_file_still_loads(self, partitioned):
+        tmp_path, _ = partitioned
+        doc = read_json(tmp_path / "views.json")
+        doc["format_version"] = doc["config"]["format_version"] = 1
+        doc["config"]["workers"] = 0
+        (tmp_path / "views.json").write_text(json.dumps(doc))
+        assert main(["diagnose", "--out", str(tmp_path)]) == 0
+        config = read_json(tmp_path / "independence.json")["config"]
+        assert "workers" not in config
+        assert config["format_version"] == FORMAT_VERSION
 
     def test_bad_discretizer_choice_exits_2(self, workdir, capsys):
         tmp_path, csv_path = workdir
@@ -296,6 +346,17 @@ class TestImportProba:
         err = capsys.readouterr().err
         assert "theta_1.csv row 3" in err
         assert "not 1" in err
+
+    @pytest.mark.parametrize("row", ["3,nan,0.5", "3,0.5,inf"])
+    def test_non_finite_row_exits_3(self, proba_dir, capsys, row):
+        tmp_path, pdir, _ = proba_dir
+        rows = (pdir / "theta_1.csv").read_text().splitlines()
+        rows[4] = row
+        (pdir / "theta_1.csv").write_text("\n".join(rows) + "\n")
+        rc = main(["evaluate", "--out", str(tmp_path),
+                   "--import-proba", str(pdir)])
+        assert rc == 3
+        assert "theta_1.csv row 3: non-finite probability" in capsys.readouterr().err
 
     def test_bad_header_exits_3(self, proba_dir, capsys):
         tmp_path, pdir, n_test = proba_dir

@@ -59,6 +59,12 @@ class TestLoadCsv:
         with pytest.raises(DataError, match=r"row 2, column 'a'"):
             load_csv(path, "y")
 
+    @pytest.mark.parametrize("cell", ["inf", "-Infinity", "1e999"])
+    def test_infinite_cell_names_row_and_column(self, tmp_path, cell):
+        path = write_csv(tmp_path / "inf.csv", ["a,b,y", "1,2,u", f"3,{cell},v"])
+        with pytest.raises(DataError, match=r"non-finite cell at row 2, column 'b'"):
+            load_csv(path, "y")
+
     def test_missing_file(self):
         with pytest.raises(DataError, match="cannot open"):
             load_csv("/nonexistent/nowhere.csv", "y")

@@ -21,6 +21,7 @@ from spfp.evalstats import (
     cliffs_delta,
     conover_posthoc,
     friedman,
+    midranks,
     win_tie_loss,
 )
 from spfp.evalstats import _magnitude
@@ -71,6 +72,20 @@ class TestSurvivalFunctionAccuracy:
         )
 
 
+class TestMidranks:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_equal_scipy_rankdata_with_ties(self, seed):
+        rng = np.random.default_rng(seed)
+        values = np.round(rng.normal(size=(9, 7)), 0)  # many ties
+        assert np.array_equal(midranks(values, axis=1), rankdata(values, axis=1))
+        assert np.array_equal(midranks(values[0]), rankdata(values[0]))
+        assert np.array_equal(midranks(values.ravel()), rankdata(values.ravel()))
+
+    def test_single_value_and_all_tied(self):
+        assert midranks([5.0]).tolist() == [1.0]
+        assert midranks([[2.0, 2.0, 2.0]], axis=1).tolist() == [[2.0, 2.0, 2.0]]
+
+
 class TestFriedman:
     def test_strictly_ordered_fixture(self):
         stat, p = friedman(ordered_matrix())
@@ -100,6 +115,13 @@ class TestFriedman:
         ref = friedmanchisquare(*[values[:, j] for j in range(4)])
         assert_allclose(stat, ref.statistic, atol=1e-10)
         assert_allclose(p, ref.pvalue, atol=1e-12)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_p_equals_chi2_sf(self, seed):
+        rng = np.random.default_rng(seed)
+        values = np.round(rng.normal(size=(10, 4)), 1)
+        stat, p = friedman(RunMatrix(values, list("abcd")))
+        assert p == float(chi2.sf(stat, 3))
 
     def test_tie_corrected_hand_example(self):
         # ranks: block 1 -> (1.5, 1.5, 3), block 2 -> (1, 2, 3)
@@ -152,6 +174,24 @@ class TestConoverPosthoc:
                 t_stat = abs(sums[i] - sums[j]) / math.sqrt(se2)
                 expected = min(1.0, 2 * float(student_t.sf(t_stat, df)))
                 assert_allclose(got[i, j], expected, atol=1e-12)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_p_equals_t_sf(self, seed):
+        rng = np.random.default_rng(seed)
+        values = np.round(rng.normal(size=(8, 4)), 1)
+        got = conover_posthoc(RunMatrix(values, list("abcd")))
+        ranks = rankdata(values, axis=1)
+        sums = ranks.sum(axis=0)
+        n, k = values.shape
+        a2 = float((ranks**2).sum())
+        c2 = n * k * (k + 1) ** 2 / 4.0
+        t1 = (k - 1) * float(((sums - n * (k + 1) / 2.0) ** 2).sum()) / (a2 - c2)
+        df = (n - 1) * (k - 1)
+        se2 = 2.0 * n * (a2 - c2) * max(0.0, 1.0 - t1 / (n * (k - 1))) / df
+        for i in range(k):
+            for j in range(i + 1, k):
+                t_stat = abs(float(sums[i] - sums[j])) / np.sqrt(se2)
+                assert got[i, j] == min(1.0, 2.0 * float(student_t.sf(t_stat, df)))
 
     def test_symmetry_exact(self):
         rng = np.random.default_rng(3)

@@ -1,9 +1,8 @@
 """Estimator correctness against brute-force oracles and hand-derived values."""
 
 import math
-import threading
+import tracemalloc
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -221,6 +220,46 @@ class TestRowPartition:
             assert h >= h_prev - 1e-12
             h_prev = h
 
+    def test_singletons_refine_to_themselves(self):
+        part = RowPartition.from_columns([np.array([3, 0, 2, 1])])
+        assert part.refine(np.array([1, 1, 0, 0])) is part
+
+    @staticmethod
+    def dense_refine(part, codes):
+        """The bincount recode over all n_groups x card cells."""
+        card = int(codes.max()) + 1
+        key = part.group_id * card + codes
+        counts = np.bincount(key, minlength=part.n_groups * card)
+        occupied = np.flatnonzero(counts)
+        remap = np.zeros(part.n_groups * card, dtype=np.intp)
+        remap[occupied] = np.arange(occupied.shape[0])
+        return remap[key], occupied.shape[0], counts[occupied]
+
+    def test_sparse_recode_equals_dense(self):
+        rng = np.random.default_rng(5)
+        for card in (2, 40, 400):  # dense and sparse key ranges
+            part = RowPartition.from_columns([random_codes(rng, 200, 7)])
+            codes = random_codes(rng, 200, card)
+            refined = part.refine(codes)
+            group_id, n_groups, sizes = self.dense_refine(part, codes)
+            assert np.array_equal(refined.group_id, group_id)
+            assert refined.n_groups == n_groups
+            assert np.array_equal(refined.group_sizes, sizes)
+
+    def test_high_cardinality_refine_stays_small(self):
+        # 15k groups x 30k codes would be 4.5e8 dense cells (3.6 GB of counts).
+        n = 30_000
+        part = RowPartition.from_columns([np.arange(n) // 2])
+        codes = np.random.default_rng(6).permutation(n)
+        tracemalloc.start()
+        try:
+            refined = part.refine(codes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert refined.n_groups == n
+        assert peak < 32 * 2**20
+
 
 class TestFrequencyTable:
     def test_counts_single_column(self):
@@ -272,20 +311,32 @@ class TestPairCache:
         assert len(cache) == 1
         assert cache.pair_stats(0, 1) == first
 
-    def test_concurrent_fills_match_serial(self):
-        rng = np.random.default_rng(2)
-        cache, codes, target = self._make(rng, n=64, d=8)
-        serial = PairCache(codes, codes.max(axis=0) + 1, target)
-        pairs = [(i, j) for i in range(8) for j in range(i + 1, 8)]
-        expected = {p: serial.pair_stats(*p) for p in pairs}
+    @pytest.mark.parametrize("bins,n_classes", [(4, 3), (10, 10), (64, 20)])
+    def test_winner_stats_equal_pair_stats(self, bins, n_classes):
+        rng = np.random.default_rng(bins + n_classes)
+        n, d = 600, 12
+        codes = rng.integers(0, bins, size=(n, d))
+        codes[:, 3] = 0  # constant columns
+        codes[:, 7] = 0
+        codes[:, 5] = rng.integers(0, 2, size=n)
+        codes = np.stack([np.unique(c, return_inverse=True)[1] for c in codes.T], axis=1)
+        target = np.unique(rng.integers(0, n_classes, size=n), return_inverse=True)[1]
+        cards = codes.max(axis=0) + 1
+        sweep = PairCache(codes, cards, target)
+        reference = PairCache(codes, cards, target)
+        for w in range(d):
+            mi, cmi = sweep.winner_stats(w)
+            for c in range(d):
+                assert (mi[c], cmi[c]) == reference.pair_stats(w, c)
 
-        def worker(p):
-            return p, cache.pair_stats(*p)
-
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            results = dict(pool.map(worker, pairs * 4))
-        assert results == expected
-        assert len(cache) == len(pairs)
+    def test_winner_stats_memoised_and_counted(self):
+        rng = np.random.default_rng(3)
+        cache, codes, _ = self._make(rng, n=64, d=8)
+        first = cache.winner_stats(2)
+        assert cache.winner_stats(2) is first
+        assert len(cache) == codes.shape[1]
+        cache.pair_stats(0, 1)
+        assert len(cache) == codes.shape[1] + 1
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
