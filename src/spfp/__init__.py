@@ -7,7 +7,6 @@ them by normalized AUC, and compares models with rank-based statistics.
 
 from .dataset import CodedMatrix, Dataset, SplitSpec, discretize, load_csv, split
 from .ensemble import (
-    EnsembleSpec,
     MetricReport,
     ProbModel,
     ensemble_predict,
@@ -28,7 +27,6 @@ from .evalstats import (
     win_tie_loss,
 )
 from .infometrics import (
-    FrequencyTable,
     PairCache,
     RowPartition,
     conditional_entropy,
@@ -72,7 +70,6 @@ __all__ = [
     "conditional_mutual_information",
     "interaction_gain",
     "pearson_abs",
-    "FrequencyTable",
     "RowPartition",
     "PairCache",
     "SpfpConfig",
@@ -87,7 +84,6 @@ __all__ = [
     "conditional_independence_report",
     "ProbModel",
     "MetricReport",
-    "EnsembleSpec",
     "train_builtin",
     "predict_proba",
     "normalized_weights",

@@ -36,12 +36,19 @@ from .ensemble import (
 )
 from .errors import ConfigError, DataError, SpfpError
 from .evalstats import RunMatrix, friedman, win_tie_loss
-from .partitioning import SpfpConfig, View, ViewSet, conditional_independence_report, partition
+from .partitioning import (
+    SpfpConfig,
+    View,
+    ViewSet,
+    conditional_independence_report,
+    partition,
+    view_stats,
+)
 from .seeding import HOLDOUT_STREAM
 
 __all__ = ["RunConfig", "main", "build_parser", "FORMAT_VERSION"]
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 EXIT_OK, EXIT_CONFIG, EXIT_DATA, EXIT_INTERNAL = 0, 2, 3, 4
 
 
@@ -77,11 +84,15 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
-        if doc.get("format_version", 1) < 2:
+        version = doc.get("format_version", 1)
+        if version < 2:
             # Format 1 carried the thread count of a since-removed pool;
-            # it never changed a result, so the config reads as format 2.
+            # it never changed a result.
             doc = {k: v for k, v in doc.items() if k != "workers"}
-            doc["format_version"] = FORMAT_VERSION
+        if version < FORMAT_VERSION:
+            # Format 3 changed only the bootstrap intervals of `stats`,
+            # which no config key sets, so older configs read as current.
+            doc = {**doc, "format_version": FORMAT_VERSION}
         known = {f.name for f in fields(cls)}
         unknown = set(doc) - known
         if unknown:
@@ -227,16 +238,7 @@ def cmd_partition(args) -> int:
     stats = {
         "format_version": FORMAT_VERSION,
         "config": rc.to_dict(),
-        "view_sizes": [len(v) for v in vs.views],
-        "union_size": vs.union_size,
-        "intersection_size": vs.intersection_size,
-        "view_ratios": vs.ratios,
-        "union_ratio": vs.union_size / train.n_features,
-        "overlap": [
-            [len(set(a.feature_ids) & set(b.feature_ids)) for b in vs.views]
-            for a in vs.views
-        ],
-        "terminations": [v.termination for v in vs.views],
+        **view_stats(vs, train.n_features),
     }
     _write_json(out / "view_stats.json", stats)
     _update_run_log(
@@ -306,6 +308,14 @@ def _read_proba_csv(path: Path, n_rows: int, n_classes: int) -> np.ndarray:
     return proba
 
 
+def _training_summary(model: ProbModel, max_iters: int) -> dict:
+    return {
+        "iterations": model.iterations,
+        "final_loss": model.final_loss,
+        "converged": model.iterations < max_iters,
+    }
+
+
 def cmd_evaluate(args) -> int:
     views_path = _views_doc_path(args)
     doc, rc = _read_views_doc(views_path)
@@ -326,6 +336,7 @@ def cmd_evaluate(args) -> int:
     elapsed: dict[str, float] = {}
     member_auc: list[float] = []
     ensembles_meta: dict[str, dict] = {}
+    training: dict[str, dict] = {}  # built-in models only
 
     if args.import_proba:
         proba_dir = Path(args.import_proba)
@@ -379,6 +390,7 @@ def cmd_evaluate(args) -> int:
             auc_g = metrics(predict_proba(model, holdout.features), holdout.target).auc
             proba = predict_proba(model, test.features)
             elapsed[name] = time.perf_counter() - tm
+            training[name] = _training_summary(model, rc.max_iters)
             models.append(model)
             member_auc.append(auc_g)
             reports[name] = metrics(proba, test.target)
@@ -393,6 +405,7 @@ def cmd_evaluate(args) -> int:
         )
         reports["All"] = metrics(predict_proba(all_model, test.features), test.target)
         elapsed["All"] = time.perf_counter() - tm
+        training["All"] = _training_summary(all_model, rc.max_iters)
         rows_for_predict = test.features
 
     for k in range(2, n_views + 1):
@@ -416,6 +429,7 @@ def cmd_evaluate(args) -> int:
             _model_name(g): member_auc[g] for g in range(n_views)
         },
         "ensembles": ensembles_meta,
+        "training": training,
         "models": {
             name: {
                 "f1_micro": rep.f1_micro,
@@ -443,6 +457,13 @@ def cmd_evaluate(args) -> int:
         print(
             f"{name}: f1={rep.f1_micro:.4f} auc={rep.auc:.4f} "
             f"log_loss={rep.log_loss:.4f}"
+        )
+    capped = [name for name, t in training.items() if not t["converged"]]
+    if capped:
+        print(
+            f"warning: stopped at max_iters={rc.max_iters} before converging: "
+            + ", ".join(capped),
+            file=sys.stderr,
         )
     print(f"wrote {out / 'metrics.json'}")
     return EXIT_OK

@@ -23,7 +23,6 @@ from .evalstats import midranks
 __all__ = [
     "ProbModel",
     "MetricReport",
-    "EnsembleSpec",
     "train_builtin",
     "predict_proba",
     "normalized_weights",
@@ -54,7 +53,6 @@ class MetricReport:
     log_loss: float
     mec: float | None
     mew: float | None
-    elapsed: float = 0.0
 
     def to_dict(self) -> dict:
         return {
@@ -63,21 +61,7 @@ class MetricReport:
             "log_loss": self.log_loss,
             "mec": self.mec,
             "mew": self.mew,
-            "elapsed": self.elapsed,
         }
-
-
-@dataclass
-class EnsembleSpec:
-    members: list[int]
-    weights: list[float]
-
-    def __post_init__(self) -> None:
-        if len(self.members) != len(self.weights) or not self.members:
-            raise ConfigError("members and weights must be non-empty and aligned")
-        w = np.asarray(self.weights, dtype=np.float64)
-        if (w < 0).any() or abs(float(w.sum()) - 1.0) > 1e-12:
-            raise ConfigError("weights must be non-negative and sum to 1")
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -249,7 +233,7 @@ def _ovr_auc(proba: np.ndarray, truth: np.ndarray) -> float:
     return float(np.mean(per_class))
 
 
-def metrics(proba: np.ndarray, truth, elapsed: float = 0.0) -> MetricReport:
+def metrics(proba: np.ndarray, truth) -> MetricReport:
     """Evaluate one probability matrix against true class codes.
 
     Predicted class is the argmax with ties broken toward the lowest code.
@@ -281,5 +265,4 @@ def metrics(proba: np.ndarray, truth, elapsed: float = 0.0) -> MetricReport:
         log_loss=log_loss,
         mec=mec,
         mew=mew,
-        elapsed=elapsed,
     )

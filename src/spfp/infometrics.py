@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "FrequencyTable",
     "RowPartition",
     "PairCache",
     "entropy",
@@ -92,35 +91,6 @@ def _row_entropies(counts: np.ndarray, terms: np.ndarray) -> np.ndarray:
 def _combine(a: np.ndarray, b: np.ndarray, card_b: int) -> np.ndarray:
     """Joint key of two code columns; not dense, bounded by card(a)*card(b)."""
     return a * card_b + b
-
-
-@dataclass
-class FrequencyTable:
-    """Occurrence counts of joint values over one or more coded columns.
-
-    `counts` maps the joint-value key (a single code, or a tuple for multiple
-    columns) to its number of occurrences; `total` is the number of rows used
-    to build the table.
-    """
-
-    counts: dict
-    total: int
-
-    @classmethod
-    def from_codes(cls, *columns) -> "FrequencyTable":
-        cols = [_as_codes(c) for c in columns]
-        n = _check_same_length(*cols)
-        if len(cols) == 1:
-            values, cnt = np.unique(cols[0], return_counts=True)
-            counts = {int(v): int(c) for v, c in zip(values, cnt)}
-        else:
-            stacked = np.stack(cols, axis=1)
-            values, cnt = np.unique(stacked, axis=0, return_counts=True)
-            counts = {tuple(int(v) for v in row): int(c) for row, c in zip(values, cnt)}
-        return cls(counts=counts, total=n)
-
-    def entropy(self) -> float:
-        return _entropy_from_counts(np.fromiter(self.counts.values(), dtype=np.intp))
 
 
 @dataclass

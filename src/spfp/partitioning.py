@@ -145,10 +145,6 @@ class ViewSet:
     def intersection_size(self) -> int:
         return len(self.intersection_ids)
 
-    @property
-    def ratios(self) -> list[float]:
-        return [len(v) / self.n_features for v in self.views]
-
 
 class PoolDepletedError(DataError):
     """Master feature space ran out before the requested number of views."""
@@ -400,10 +396,10 @@ def partition(d: Dataset, config: SpfpConfig) -> ViewSet:
 
 
 def view_stats(vs: ViewSet, n_features: int | None = None) -> dict:
-    """Size, overlap, and timing summary of a ViewSet.
+    """Size and overlap summary of a ViewSet (the body of view_stats.json).
 
     `overlap` is the pairwise common-feature count matrix (diagonal =
-    view sizes).
+    view sizes). Wall-clock time stays out: the summary is deterministic.
     """
     if not vs.views:
         raise ConfigError("empty ViewSet")
@@ -418,7 +414,6 @@ def view_stats(vs: ViewSet, n_features: int | None = None) -> dict:
         "view_ratios": [len(v) / n_feat for v in vs.views],
         "union_ratio": vs.union_size / n_feat,
         "overlap": overlap,
-        "elapsed": list(vs.elapsed),
         "terminations": [v.termination for v in vs.views],
     }
 

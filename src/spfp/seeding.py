@@ -9,7 +9,9 @@ Reserved purpose codes:
 * ``SPLIT_STREAM``    -- train/test row assignment
 * ``REMOVAL_STREAM``  -- per-view feature removal; index = 0-based view number
 * ``HOLDOUT_STREAM``  -- validation holdout used for ensemble weights
-* ``BOOTSTRAP_STREAM``-- bootstrap resampling; index = 0-based replicate
+* ``BOOTSTRAP_STREAM``-- bootstrap resampling; no index: each bootstrap_ci
+  call draws every replicate from this one stream, in blocks of
+  ``evalstats.BOOTSTRAP_BLOCK`` (see ``evalstats.bootstrap_ci``)
 """
 
 from __future__ import annotations

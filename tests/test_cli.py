@@ -84,7 +84,11 @@ class TestRunConfig:
         doc = {"input": "a.csv", "target": "y", "workers": 4, "format_version": 1}
         rc = RunConfig.from_dict(doc)
         assert rc == RunConfig(input="a.csv", target="y")
-        assert rc.format_version == FORMAT_VERSION == 2
+        assert rc.format_version == FORMAT_VERSION == 3
+
+    def test_format_2_config_reads_as_current(self):
+        rc = RunConfig.from_dict({"input": "a.csv", "target": "y", "format_version": 2})
+        assert rc == RunConfig(input="a.csv", target="y")
 
     def test_format_2_config_rejects_workers(self):
         doc = {"input": "a.csv", "target": "y", "workers": 4, "format_version": 2}
@@ -190,6 +194,17 @@ class TestPartitionCommand:
         assert "workers" not in config
         assert config["format_version"] == FORMAT_VERSION
 
+    def test_format_2_views_file_runs_evaluate_and_diagnose(self, partitioned):
+        tmp_path, _ = partitioned
+        doc = read_json(tmp_path / "views.json")
+        doc["format_version"] = doc["config"]["format_version"] = 2
+        (tmp_path / "views.json").write_text(json.dumps(doc))
+        assert main(["evaluate", "--out", str(tmp_path)]) == 0
+        assert main(["diagnose", "--out", str(tmp_path)]) == 0
+        for name in ("metrics.json", "independence.json"):
+            written = read_json(tmp_path / name)
+            assert written["format_version"] == written["config"]["format_version"] == 3
+
     def test_bad_discretizer_choice_exits_2(self, workdir, capsys):
         tmp_path, csv_path = workdir
         argv = partition_argv(csv_path, tmp_path,
@@ -291,6 +306,34 @@ class TestEvaluateCommand:
         assert rc == 0
         assert (other / "metrics.json").exists()
 
+    def _evaluate_with(self, tmp_path, **config):
+        doc = read_json(tmp_path / "views.json")
+        doc["config"].update(config)
+        (tmp_path / "views.json").write_text(json.dumps(doc))
+        assert main(["evaluate", "--out", str(tmp_path)]) == 0
+        return read_json(tmp_path / "metrics.json")["training"]
+
+    def test_training_block_of_converged_models(self, partitioned, capsys):
+        tmp_path, _ = partitioned
+        training = self._evaluate_with(tmp_path, opt_tol=0.05)
+        assert set(training) == {"theta_1", "theta_2", "All"}
+        for entry in training.values():
+            assert set(entry) == {"iterations", "final_loss", "converged"}
+            assert entry["converged"] is True
+            assert 0 < entry["iterations"] < 500
+            assert 0.0 < entry["final_loss"] < 1.0
+        assert "warning" not in capsys.readouterr().err
+
+    def test_max_iters_stop_is_flagged(self, partitioned, capsys):
+        tmp_path, _ = partitioned
+        training = self._evaluate_with(tmp_path, max_iters=1)
+        assert all(t["iterations"] == 1 and t["converged"] is False
+                   for t in training.values())
+        warnings = [l for l in capsys.readouterr().err.splitlines() if "warning" in l]
+        assert warnings == [
+            "warning: stopped at max_iters=1 before converging: theta_1, theta_2, All"
+        ]
+
 
 def write_proba_csv(path: Path, probs) -> None:
     lines = ["row_id,class_0,class_1"]
@@ -322,7 +365,10 @@ class TestImportProba:
         assert doc["weighting"] == {"source": "imported_test"}
         assert set(doc["models"]) == {"theta_1", "theta_2", "E_1:2", "All"}
         assert set(doc["member_auc"]) == {"theta_1", "theta_2"}
-        assert "no All.csv" not in capsys.readouterr().err
+        assert doc["training"] == {}
+        err = capsys.readouterr().err
+        assert "no All.csv" not in err
+        assert "warning" not in err
 
     def test_missing_benchmark_file_is_skipped(self, proba_dir, capsys):
         tmp_path, pdir, _ = proba_dir

@@ -10,7 +10,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from spfp.ensemble import (
-    EnsembleSpec,
     MetricReport,
     ProbModel,
     ensemble_predict,
@@ -367,27 +366,6 @@ class TestMetrics:
 
     def test_report_dict_and_elapsed(self):
         proba = np.array([[0.7, 0.3], [0.4, 0.6]])
-        rep = metrics(proba, np.array([0, 1]), elapsed=1.25)
-        d = rep.to_dict()
-        assert d["elapsed"] == 1.25
-        assert set(d) == {"f1_micro", "auc", "log_loss", "mec", "mew", "elapsed"}
+        d = metrics(proba, np.array([0, 1])).to_dict()
+        assert set(d) == {"f1_micro", "auc", "log_loss", "mec", "mew"}  # no wall clock
         assert d["mew"] is None
-
-
-class TestEnsembleSpec:
-    def test_valid(self):
-        spec = EnsembleSpec(members=[0, 1], weights=[0.25, 0.75])
-        assert spec.members == [0, 1]
-
-    @pytest.mark.parametrize(
-        "members,weights",
-        [
-            ([0, 1], [0.5, 0.6]),
-            ([0, 1], [-0.1, 1.1]),
-            ([0], [0.5, 0.5]),
-            ([], []),
-        ],
-    )
-    def test_invalid(self, members, weights):
-        with pytest.raises(ConfigError):
-            EnsembleSpec(members=members, weights=weights)

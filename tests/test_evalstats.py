@@ -6,6 +6,7 @@ licenses using them inside the statistic-to-p mappings.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from scipy.stats import t as student_t
 
 from spfp.errors import ConfigError, DataError
 from spfp.evalstats import (
+    BOOTSTRAP_BLOCK,
     RunMatrix,
     adjust,
     bootstrap_ci,
@@ -25,6 +27,7 @@ from spfp.evalstats import (
     win_tie_loss,
 )
 from spfp.evalstats import _magnitude
+from spfp.seeding import BOOTSTRAP_STREAM, substream
 
 
 def ordered_matrix(n=10, k=3):
@@ -344,6 +347,43 @@ class TestBootstrapCi:
             bootstrap_ci([1.0, 2.0], [1.0], confidence=1.0)
         with pytest.raises(DataError):
             bootstrap_ci([], [1.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_sample_rejected(self, bad):
+        with pytest.raises(DataError, match="finite"):
+            bootstrap_ci([1.0, bad], [1.0, 2.0])
+
+    def test_equals_per_replicate_oracle(self):
+        """Re-derive the interval from the documented stream contract with
+        one cliffs_delta call per replicate."""
+        rng = np.random.default_rng(13)
+        a = rng.integers(0, 4, size=9).astype(float)  # ties within and across
+        b = rng.integers(0, 4, size=14).astype(float)
+        replicates = 3 * BOOTSTRAP_BLOCK + 17
+        stream = substream(5, BOOTSTRAP_STREAM)
+        deltas = []
+        for start in range(0, replicates, BOOTSTRAP_BLOCK):
+            m = min(BOOTSTRAP_BLOCK, replicates - start)
+            ia = stream.integers(0, a.size, (m, a.size))
+            ib = stream.integers(0, b.size, (m, b.size))
+            deltas += [cliffs_delta(a[ia[r]], b[ib[r]])[0] for r in range(m)]
+        tail = (1.0 - 0.9) / 2.0
+        lo, hi = np.quantile(deltas, [tail, 1.0 - tail])
+        assert bootstrap_ci(a, b, replicates, confidence=0.9, seed=5) == (lo, hi)
+
+    def test_memory_does_not_grow_with_replicates(self):
+        rng = np.random.default_rng(14)
+        a, b = rng.normal(size=200), rng.normal(size=200)
+        bootstrap_ci(a, b, replicates=100)  # warm-up outside the trace
+        tracemalloc.start()
+        try:
+            bootstrap_ci(a, b, replicates=10_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # about 0.9 MB here, most of it building the 200 x 200 sign matrix; one
+        # block of per-replicate sign matrices alone would take 20 MB
+        assert peak < 2 * 2**20
 
 
 def dominance_matrix(n=30, better_by=1.0, names=("bench", "model")):

@@ -3,13 +3,13 @@
 import math
 import tracemalloc
 from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from spfp.infometrics import (
-    FrequencyTable,
     PairCache,
     RowPartition,
     conditional_entropy,
@@ -27,6 +27,32 @@ def oracle_entropy(*columns):
     tuples = list(zip(*columns))
     n = len(tuples)
     return -sum(c / n * math.log2(c / n) for c in Counter(tuples).values())
+
+
+@dataclass
+class FrequencyTable:
+    """Occurrence counts of joint values over coded columns, counted with
+    np.unique apart from RowPartition: a second entropy path.
+
+    `counts` maps the joint-value key (a code, or a tuple for several
+    columns) to its number of occurrences; `total` is the row count.
+    """
+
+    counts: dict
+    total: int
+
+    @classmethod
+    def from_codes(cls, *columns) -> "FrequencyTable":
+        stacked = np.stack([np.asarray(c) for c in columns], axis=1)
+        values, cnt = np.unique(stacked, axis=0, return_counts=True)
+        keys = [tuple(int(v) for v in row) for row in values]
+        if len(columns) == 1:
+            keys = [k[0] for k in keys]
+        return cls(counts=dict(zip(keys, cnt.tolist())), total=stacked.shape[0])
+
+    def entropy(self) -> float:
+        p = np.fromiter(self.counts.values(), dtype=np.float64) / self.total
+        return float(-(p * np.log2(p)).sum())
 
 
 def random_codes(rng, n, card):
