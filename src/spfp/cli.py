@@ -149,6 +149,11 @@ def _load_and_split(rc: RunConfig) -> tuple[Dataset, Dataset, Dataset]:
     return d, train, test
 
 
+def _load_counters(d: Dataset) -> dict:
+    """What the missing-value policy did to the input, for run_log.json."""
+    return {"rows_rejected": d.n_rejected_rows, "cells_imputed": d.n_imputed_cells}
+
+
 def _views_doc_path(args) -> Path:
     if getattr(args, "views_file", None):
         return Path(args.views_file)
@@ -248,6 +253,7 @@ def cmd_partition(args) -> int:
             "started_unix": started,
             "elapsed_seconds": time.perf_counter() - t0,
             "view_elapsed_seconds": list(vs.elapsed),
+            **_load_counters(d),
         },
     )
 
@@ -449,6 +455,7 @@ def cmd_evaluate(args) -> int:
             "started_unix": started,
             "elapsed_seconds": time.perf_counter() - t0,
             "model_elapsed_seconds": elapsed,
+            **_load_counters(d),
         },
     )
 
@@ -511,7 +518,11 @@ def cmd_diagnose(args) -> int:
     _update_run_log(
         out,
         "diagnose",
-        {"started_unix": started, "elapsed_seconds": time.perf_counter() - t0},
+        {
+            "started_unix": started,
+            "elapsed_seconds": time.perf_counter() - t0,
+            **_load_counters(d),
+        },
     )
     cmi = np.asarray(report["pairwise_cmi"])
     off = cmi[~np.eye(cmi.shape[0], dtype=bool)]

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,6 +110,112 @@ def _parse_cell(text: str, row: int, column: str) -> float:
     return value
 
 
+def _load_clean(lines, target_idx: int, width: int):
+    """Parse a clean file in one ``np.loadtxt`` pass, or return None.
+
+    Clean means every data row has `width` comma-separated fields, every
+    feature cell is a finite number ``np.loadtxt`` parses and every label is
+    present and unquoted. ``np.loadtxt`` accepts a subset of what ``float``
+    does and reads it to the same value, so a file accepted here reads the
+    same as under `_load_rows`; anything else (quotes, missing or non-finite
+    cells, ragged rows, ``1_0``, fields over the csv field limit) returns
+    None and is left to `_load_rows`, which raises every error about a row.
+    """
+    limit = csv.field_size_limit()
+    class_index: dict[str, int] = {}
+
+    def code(text: str) -> int:
+        label = text.strip()
+        if label.lower() in _MISSING_TOKENS or '"' in label:
+            raise ValueError(label)
+        return class_index.setdefault(label, len(class_index))
+
+    def within_limit():
+        # csv.reader refuses a longer field, so the cell loop would too.
+        for line in lines:
+            if len(line) > limit and max(map(len, line.split(","))) > limit:
+                raise ValueError("field larger than the csv field limit")
+            yield line
+
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            x = np.loadtxt(
+                within_limit(), delimiter=",", dtype=np.float64, comments=None,
+                quotechar=None, ndmin=2, converters={target_idx: code},
+            )
+    except ValueError:
+        return None
+    if x.shape[0] == 0 or x.shape[1] != width or not np.isfinite(x).all():
+        return None
+    features = np.delete(x, target_idx, axis=1)
+    target = x[:, target_idx].astype(np.intp)
+    return features, target, tuple(class_index), 0, 0
+
+
+def _load_rows(reader, header, feature_names, target_idx: int, missing_policy: str, path):
+    """Parse and validate the data rows cell by cell, applying the policy."""
+    rows: list[list[float]] = []
+    labels: list[str] = []
+    n_rejected = 0
+    for row_no, record in enumerate(reader, start=1):
+        if not record:
+            continue
+        if len(record) != len(header):
+            raise DataError(
+                f"row {row_no}: expected {len(header)} fields, got {len(record)}"
+            )
+        label = record[target_idx].strip()
+        if label.lower() in _MISSING_TOKENS:
+            if missing_policy == "error":
+                raise DataError(
+                    f"missing value at row {row_no}, column '{header[target_idx]}'"
+                )
+            n_rejected += 1
+            continue
+        values = []
+        missing_at = None
+        for i, cell in enumerate(record):
+            if i == target_idx:
+                continue
+            value = _parse_cell(cell, row_no, header[i])
+            if math.isnan(value) and missing_at is None:
+                missing_at = header[i]
+            values.append(value)
+        if missing_at is not None and missing_policy == "error":
+            raise DataError(f"missing value at row {row_no}, column '{missing_at}'")
+        if missing_at is not None and missing_policy == "drop":
+            n_rejected += 1
+            continue
+        rows.append(values)
+        labels.append(label)
+
+    if not rows:
+        raise DataError(f"{path}: no data rows")
+    features = np.asarray(rows, dtype=np.float64)
+
+    n_imputed = 0
+    if missing_policy == "median":
+        for j in range(features.shape[1]):
+            mask = np.isnan(features[:, j])
+            if mask.any():
+                valid = features[~mask, j]
+                if valid.size == 0:
+                    raise DataError(f"column '{feature_names[j]}' has no usable values")
+                features[mask, j] = np.median(valid)
+                n_imputed += int(mask.sum())
+
+    class_names: list[str] = []
+    class_index: dict[str, int] = {}
+    target = np.empty(len(labels), dtype=np.intp)
+    for i, label in enumerate(labels):
+        if label not in class_index:
+            class_index[label] = len(class_names)
+            class_names.append(label)
+        target[i] = class_index[label]
+    return features, target, tuple(class_names), n_rejected, n_imputed
+
+
 def load_csv(path, target_column, missing_policy: str = "error") -> Dataset:
     """Load a CSV into a Dataset, encoding the target by first appearance.
 
@@ -117,6 +224,8 @@ def load_csv(path, target_column, missing_policy: str = "error") -> Dataset:
     ``error`` (default) rejects the file naming the first offending cell,
     ``drop`` discards offending rows, ``median`` imputes missing feature
     cells with the column median (rows missing the target are dropped).
+    A clean file is parsed in one ``np.loadtxt`` pass; any other file is
+    read again cell by cell, so both give the same Dataset or error.
     """
     if missing_policy not in ("error", "drop", "median"):
         raise ConfigError(f"unknown missing_policy {missing_policy!r}")
@@ -142,64 +251,14 @@ def load_csv(path, target_column, missing_policy: str = "error") -> Dataset:
                 raise DataError(f"target column {target_column!r} not found") from None
         feature_names = tuple(h for i, h in enumerate(header) if i != target_idx)
 
-        rows: list[list[float]] = []
-        labels: list[str] = []
-        n_rejected = 0
-        for row_no, record in enumerate(reader, start=1):
-            if not record:
-                continue
-            if len(record) != len(header):
-                raise DataError(
-                    f"row {row_no}: expected {len(header)} fields, got {len(record)}"
-                )
-            label = record[target_idx].strip()
-            if label.lower() in _MISSING_TOKENS:
-                if missing_policy == "error":
-                    raise DataError(
-                        f"missing value at row {row_no}, column '{header[target_idx]}'"
-                    )
-                n_rejected += 1
-                continue
-            values = []
-            missing_at = None
-            for i, cell in enumerate(record):
-                if i == target_idx:
-                    continue
-                value = _parse_cell(cell, row_no, header[i])
-                if math.isnan(value) and missing_at is None:
-                    missing_at = header[i]
-                values.append(value)
-            if missing_at is not None and missing_policy == "error":
-                raise DataError(f"missing value at row {row_no}, column '{missing_at}'")
-            if missing_at is not None and missing_policy == "drop":
-                n_rejected += 1
-                continue
-            rows.append(values)
-            labels.append(label)
-
-    if not rows:
-        raise DataError(f"{path}: no data rows")
-    features = np.asarray(rows, dtype=np.float64)
-
-    n_imputed = 0
-    if missing_policy == "median":
-        for j in range(features.shape[1]):
-            mask = np.isnan(features[:, j])
-            if mask.any():
-                valid = features[~mask, j]
-                if valid.size == 0:
-                    raise DataError(f"column '{feature_names[j]}' has no usable values")
-                features[mask, j] = np.median(valid)
-                n_imputed += int(mask.sum())
-
-    class_names: list[str] = []
-    class_index: dict[str, int] = {}
-    target = np.empty(len(labels), dtype=np.intp)
-    for i, label in enumerate(labels):
-        if label not in class_index:
-            class_index[label] = len(class_names)
-            class_names.append(label)
-        target[i] = class_index[label]
+        loaded = _load_clean(handle, target_idx, len(header))
+        if loaded is None:
+            handle.seek(0)
+            next(reader)  # the header again
+            loaded = _load_rows(
+                reader, header, feature_names, target_idx, missing_policy, path
+            )
+    features, target, class_names, n_rejected, n_imputed = loaded
     if len(class_names) < 2:
         raise DataError(f"fewer than 2 classes in target column (found {len(class_names)})")
 
@@ -207,7 +266,7 @@ def load_csv(path, target_column, missing_policy: str = "error") -> Dataset:
         features=features,
         feature_names=feature_names,
         target=target,
-        class_names=tuple(class_names),
+        class_names=class_names,
         n_rejected_rows=n_rejected,
         n_imputed_cells=n_imputed,
     )

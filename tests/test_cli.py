@@ -454,6 +454,31 @@ class TestDiagnoseCommand:
         assert main(["diagnose", "--out", str(tmp_path)]) == 3
 
 
+
+class TestRunLogLoadCounters:
+    @pytest.mark.parametrize("policy,rejected,imputed", [
+        ("drop", 3, 0),
+        ("median", 1, 2),
+    ])
+    def test_counters_in_every_loading_command(self, workdir, policy, rejected, imputed):
+        tmp_path, csv_path = workdir
+        lines = csv_path.read_text(encoding="utf-8").splitlines()
+        for row, column in [(3, 5), (40, 0)]:  # blank feature cells
+            cells = lines[row].split(",")
+            cells[column] = ""
+            lines[row] = ",".join(cells)
+        lines[60] = lines[60].rsplit(",", 1)[0] + ",NA"  # missing target
+        csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+        argv = partition_argv(csv_path, tmp_path, **{"--missing-policy": policy})
+        assert main(argv) == 0
+        assert main(["evaluate", "--out", str(tmp_path)]) == 0
+        assert main(["diagnose", "--out", str(tmp_path)]) == 0
+        log = read_json(tmp_path / "run_log.json")
+        for command in ("partition", "evaluate", "diagnose"):
+            assert log[command]["rows_rejected"] == rejected, command
+            assert log[command]["cells_imputed"] == imputed, command
+
 def write_matrix_csv(path: Path, columns: dict) -> None:
     names = list(columns)
     n = len(next(iter(columns.values())))

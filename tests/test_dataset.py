@@ -1,9 +1,17 @@
 """Loading, discretization, and split behavior, including the promised errors."""
 
+import csv
+import io
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from spfp import dataset
 from spfp.dataset import Dataset, SplitSpec, discretize, load_csv, split
 from spfp.errors import ConfigError, DataError
 
@@ -102,6 +110,144 @@ class TestLoadCsv:
         path = write_csv(tmp_path / "p.csv", ["a,y", "1,u", "2,v"])
         with pytest.raises(ConfigError):
             load_csv(path, "y", missing_policy="zero")
+
+
+
+def load_outcome(path, target, policy):
+    """What load_csv returns or raises, in a form two runs can compare."""
+    try:
+        d = load_csv(path, target, missing_policy=policy)
+    except Exception as exc:  # the cell loop raises csv.Error as well as DataError
+        return type(exc), str(exc)
+    return (d.features.dtype, d.features.shape, d.features.tobytes(), d.feature_names,
+            d.target.dtype, d.target.tobytes(), d.class_names,
+            d.n_rejected_rows, d.n_imputed_cells)
+
+
+def loop_outcome(monkeypatch, path, target, policy):
+    """The same load with the one-pass parse refused, so the cell loop reads it."""
+    with monkeypatch.context() as m:
+        m.setattr(dataset, "_load_clean", lambda *args: None)
+        return load_outcome(path, target, policy)
+
+
+_BIG = csv.field_size_limit() + 1
+
+H = "a,b,y\n"
+# (name, CSV text or bytes, target, whether the one-pass parse takes it)
+_DIFFERENTIAL = [
+    ("clean", H + "1,2,u\n3.5,-4e-3,v\n5,6,u\n", "y", True),
+    ("underscore digits", H + "1_0,2,u\n3,4,v\n", "y", False),
+    ("arabic-indic digits", H + "\u0661\u0662,2,u\n3,4,v\n", "y", False),
+    ("nan token", H + "1,nan,u\n3,4,v\n5,6,u\n", "y", False),
+    ("-nan token", H + "1,-nan,u\n3,4,v\n5,6,u\n", "y", False),
+    ("na label", H + "1,2,u\n3,4,NA\n5,6,v\n", "y", False),
+    ("inf", H + "1,inf,u\n3,4,v\n", "y", False),
+    ("Infinity", H + "1,2,u\nInfinity,4,v\n", "y", False),
+    ("1e400", H + "1,2,u\n3,1e400,v\n", "y", False),
+    ("quoted numeric cell", H + '"1.5",2,u\n3,4,v\n', "y", False),
+    ("quoted label", H + '1,2,"u"\n3,4,"v"\n', "y", False),
+    ("quoted label with a comma", H + '1,2,u\n3,4,"v,w"\n', "y", False),
+    ("hash in a numeric cell", H + "1#2,2,u\n3,4,v\n", "y", False),
+    ("hash in a label", H + "1,2,u#1\n3,4,v\n", "y", True),
+    ("whitespace-only row", H + "1,2,u\n   \n3,4,v\n", "y", False),
+    ("extra field", H + "1,2,u\n3,4,v,9\n", "y", False),
+    ("extra field in every row", H + "1,2,u,9\n3,4,v,9\n", "y", False),
+    ("missing field", H + "1,2,u\n3,v\n", "y", False),
+    ("trailing comma", H + "1,2,u,\n3,4,v,\n", "y", False),
+    ("crlf and blank lines", H + "1,2,u\r\n\r\n3,4,v\r\n\r\n5,6,u\r\n", "y", True),
+    ("lone cr line ends", H + "1,2,u\r3,4,v\r", "y", True),
+    ("no final newline", H + "1,2,u\n3,4,v", "y", True),
+    ("padded cells", H + " 1 ,\t2, u \n3,4,v\n", "y", True),
+    ("target by index", H + "1,2,u\n3,4,v\n", 2, True),
+    ("first column target", H + "u,1,2\nv,3,4\nu,5,6\n", 0, True),
+    ("blank cell", H + "1,,u\n3,4,v\n5,6,u\n", "y", False),
+    ("empty column", H + "1,,u\n3,,v\n", "y", False),
+    ("header only", H, "y", False),
+    ("target-only header, no rows", "y\n", "y", False),
+    ("target-only header", "y\nu\nv\n", "y", True),
+    ("blank lines only", H + "\n\n", "y", False),
+    ("single class", H + "1,2,u\n3,4,u\n", "y", True),
+    ("field over the csv limit", H + " " * _BIG + "1,2,u\n3,4,v\n", "y", False),
+    ("label over the csv limit", H + "1,2," + "u" * _BIG + "\n3,4,v\n", "y", False),
+    # past the first 8 KiB, so the header is read before the bad byte is decoded
+    ("invalid utf-8", (H + "1,2,u\n3,4,v\n" * 2000).encode() + b"5,\xff6,v\n", "y", False),
+]
+
+
+class TestOnePassParse:
+    @pytest.mark.parametrize("policy", ["error", "drop", "median"])
+    @pytest.mark.parametrize(
+        "name,text,target,fast", _DIFFERENTIAL, ids=[row[0] for row in _DIFFERENTIAL]
+    )
+    def test_matches_cell_loop(self, tmp_path, monkeypatch, name, text, target, fast, policy):
+        path = tmp_path / "t.csv"
+        path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
+        taken = []
+        parse = dataset._load_clean
+        monkeypatch.setattr(
+            dataset, "_load_clean", lambda *args: taken.append(parse(*args)) or taken[-1]
+        )
+        got = load_outcome(path, target, policy)
+        assert (taken[0] is not None) == fast
+        assert got == loop_outcome(monkeypatch, path, target, policy)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        values=st.lists(
+            st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=3, max_size=3),
+            min_size=2, max_size=12,
+        ),
+        labels=st.lists(st.sampled_from(["a", "b", "c", "d"]), min_size=12, max_size=12),
+    )
+    def test_round_trip(self, tmp_path_factory, values, labels):
+        labels = labels[: len(values)]
+        if len(set(labels)) < 2:
+            labels[-1] = "e"
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(["x0", "x1", "y", "x2"])
+        for row, label in zip(values, labels):
+            writer.writerow([repr(row[0]), repr(row[1]), label, repr(row[2])])
+        path = tmp_path_factory.mktemp("rt") / "rt.csv"
+        path.write_text(buf.getvalue(), encoding="utf-8")
+        d = load_csv(path, "y")
+        assert d.features.tobytes() == np.array(values, dtype=np.float64).tobytes()
+        order = list(dict.fromkeys(labels))
+        assert d.class_names == tuple(order)
+        assert d.target.tolist() == [order.index(label) for label in labels]
+
+    def test_header_only_raises_without_loadtxt_warning(self, tmp_path):
+        path = write_csv(tmp_path / "h.csv", ["a,b,y"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="no data rows"):
+                load_csv(path, "y")
+
+    def test_clean_file_peak_memory_stays_on_the_one_pass_parse(self, tmp_path, monkeypatch):
+        # 2,000 x 100 features: the one-pass parse peaks at 3.3 MB (the float
+        # block plus its copy without the target), the cell loop at 8.5 MB
+        # (row lists of Python floats), so the bound sits between the two.
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(2000, 100))
+        lines = [",".join([f"f{j}" for j in range(100)] + ["y"])]
+        lines += [",".join(map(repr, row)) + f",c{i % 3}" for i, row in enumerate(x.tolist())]
+        path = write_csv(tmp_path / "clean.csv", lines)
+
+        def peak(load):
+            tracemalloc.start()
+            try:
+                d = load()
+                return tracemalloc.get_traced_memory()[1], d
+            finally:
+                tracemalloc.stop()
+
+        fast_peak, d = peak(lambda: load_csv(path, "y"))
+        assert d.features.tobytes() == x.tobytes()
+        with monkeypatch.context() as m:
+            m.setattr(dataset, "_load_clean", lambda *args: None)
+            loop_peak, _ = peak(lambda: load_csv(path, "y"))
+        assert fast_peak < 5_000_000 < loop_peak
 
 
 class TestDiscretize:

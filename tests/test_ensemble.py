@@ -12,6 +12,7 @@ from numpy.testing import assert_allclose
 from spfp.ensemble import (
     MetricReport,
     ProbModel,
+    _softmax,
     ensemble_predict,
     metrics,
     normalized_weights,
@@ -43,6 +44,23 @@ def penalized_nll(w_flat, xb, y, l2, n_cls):
     nll = -logp[np.arange(y.shape[0]), y].mean()
     return nll + 0.5 * l2 * float((w[1:] ** 2).sum())
 
+
+
+@pytest.mark.parametrize("k", [2, 3, 10, 20])
+def test_softmax_equals_row_max_form(k):
+    rng = np.random.default_rng(k)
+    z = rng.normal(scale=3.0, size=(400, k))
+    z[:50] = np.round(z[:50])  # ties, including several maxima per row
+    z[50:60] = 7.25  # every logit tied
+    z[60:100] *= 1e300  # large magnitude, mixed signs
+    z[100:110] = -1e300
+    z[110:120] = -1.0
+    z[110:120, 0] = -0.0  # the row max is a zero of either sign
+    z[110:120, -1] = 0.0
+    shifted = z - z.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    reference = e / e.sum(axis=1, keepdims=True)
+    assert np.array_equal(_softmax(z), reference)
 
 class TestTrainBuiltin:
     def test_separable_training_accuracy(self):
