@@ -35,7 +35,7 @@ from .ensemble import (
     train_builtin,
 )
 from .errors import ConfigError, DataError, SpfpError
-from .evalstats import RunMatrix, friedman, win_tie_loss
+from .evalstats import RunMatrix, win_tie_loss
 from .partitioning import (
     SpfpConfig,
     View,
@@ -607,13 +607,11 @@ def cmd_stats(args) -> int:
         },
         "metrics": {},
     }
-    for name, m in matrices.items():
-        statistic, p_raw = friedman(m)
+    for name, verdicts in table.items():
+        statistic, p_raw = next(iter(verdicts.values())).friedman
         doc["metrics"][name] = {
             "friedman": {"statistic": statistic, "p": p_raw},
-            "verdicts": {
-                model: verdict.to_dict() for model, verdict in table[name].items()
-            },
+            "verdicts": {model: verdict.to_dict() for model, verdict in verdicts.items()},
         }
     _write_json(out / "verdicts.json", doc)
     _update_run_log(

@@ -9,6 +9,7 @@ discretized to small-integer codes so the plug-in entropy estimators in
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
 import warnings
@@ -216,6 +217,18 @@ def _load_rows(reader, header, feature_names, target_idx: int, missing_policy: s
     return features, target, tuple(class_names), n_rejected, n_imputed
 
 
+@contextlib.contextmanager
+def _file_errors(path):
+    """Report bytes that are not UTF-8 and csv-level faults (a field over
+    ``csv.field_size_limit()``) as DataError naming the file."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except csv.Error as exc:
+        raise DataError(f"{path}: {exc}") from None
+
+
 def load_csv(path, target_column, missing_policy: str = "error") -> Dataset:
     """Load a CSV into a Dataset, encoding the target by first appearance.
 
@@ -233,7 +246,7 @@ def load_csv(path, target_column, missing_policy: str = "error") -> Dataset:
         handle = open(path, newline="", encoding="utf-8")
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc}") from exc
-    with handle:
+    with handle, _file_errors(path):
         reader = csv.reader(handle)
         try:
             header = next(reader)

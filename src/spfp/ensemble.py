@@ -64,15 +64,50 @@ class MetricReport:
         }
 
 
+def _row_sum(e: np.ndarray) -> np.ndarray:
+    """``e.sum(axis=1)`` bit for bit, from whole-column adds made in the
+    order of numpy's ``pairwise_sum`` over each row."""
+    k = e.shape[1]
+    if k > 128:  # two halves, split at a multiple of 8
+        half = k // 2 - (k // 2) % 8
+        return _row_sum(e[:, :half]) + _row_sum(e[:, half:])
+    if k < 8:  # left to right
+        s = e[:, 0].copy()
+        for j in range(1, k):
+            s += e[:, j]
+        return s
+    # eight accumulators over the whole blocks of 8, combined as
+    # ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the leftover columns
+    whole = k - k % 8
+    r = [e[:, j].copy() for j in range(8)]
+    for i in range(8, whole, 8):
+        for j in range(8):
+            r[j] += e[:, i + j]
+    for a, b in ((0, 1), (2, 3), (4, 5), (6, 7), (0, 2), (4, 6), (0, 4)):
+        r[a] += r[b]
+    for j in range(whole, k):
+        r[0] += e[:, j]
+    return r[0]
+
+
 def _softmax(z: np.ndarray) -> np.ndarray:
-    # A running max over the K columns is exact, so it equals
-    # z.max(axis=1) bit for bit, and is faster than reducing length-K rows.
+    """Row-wise softmax of `z`, computed in `z` and returned.
+
+    ``==`` ``e / e.sum(axis=1, keepdims=True)`` with
+    ``e = np.exp(z - z.max(axis=1, keepdims=True))``: a running max over
+    the columns is exact, the exp runs over the whole contiguous matrix, and
+    `_row_sum` adds in numpy's order.
+    """
     m = z[:, 0].copy()
     for k in range(1, z.shape[1]):
         np.maximum(m, z[:, k], out=m)
-    z = z - m[:, None]
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    for k in range(z.shape[1]):
+        z[:, k] -= m
+    np.exp(z, out=z)
+    s = _row_sum(z)
+    for k in range(z.shape[1]):
+        z[:, k] /= s
+    return z
 
 
 def train_builtin(
@@ -102,6 +137,8 @@ def train_builtin(
     n_cls = int(n_classes) if n_classes is not None else int(y.max()) + 1
     if np.unique(y).shape[0] < 2:
         raise DataError("training data contains a single class")
+    if y.min() < 0 or y.max() >= n_cls:
+        raise DataError(f"class codes outside the {n_cls} model columns")
 
     mean = X.mean(axis=0)
     scale = X.std(axis=0)
@@ -115,16 +152,23 @@ def train_builtin(
     penalty_mask = np.ones((d + 1, 1))
     penalty_mask[0, 0] = 0.0
 
+    # Buffers reused by every step, which makes the same IEEE operations in
+    # the same order as xb.T @ (softmax(xb @ w) - onehot) / n + penalty.
+    z = np.empty((n, n_cls))
+    g = np.empty((d + 1, n_cls))
     iterations = 0
     for _ in range(max_iters):
-        p = _softmax(xb @ w)
-        grad = xb.T @ (p - onehot) / n + l2 * (w * penalty_mask)
-        if float(np.abs(grad).max()) < tol:
+        _softmax(np.matmul(xb, w, out=z))
+        z -= onehot
+        np.matmul(xb.T, z, out=g)
+        g /= n
+        g += l2 * (w * penalty_mask)
+        if float(np.abs(g).max()) < tol:
             break
-        w -= lr * grad
+        w -= lr * g
         iterations += 1
 
-    p = _softmax(xb @ w)
+    p = _softmax(np.matmul(xb, w, out=z))
     p_true = np.clip(p[np.arange(n), y], _PROB_CLAMP, 1.0 - _PROB_CLAMP)
     final_loss = float(-np.log2(p_true).mean())
     ids = list(feature_ids) if feature_ids is not None else list(range(d))

@@ -71,6 +71,9 @@ class ComparisonVerdict:
     ci: tuple[float, float]
     p_friedman_adj: float
     p_conover_adj: float
+    # The metric's (statistic, unadjusted p), shared by its verdicts and
+    # written once per metric, so to_dict leaves it out.
+    friedman: tuple[float, float]
 
     def to_dict(self) -> dict:
         return {
@@ -273,11 +276,11 @@ def win_tie_loss(
         if benchmark not in matrices[name].treatment_names:
             raise ConfigError(f"benchmark {benchmark!r} missing from metric {name!r}")
 
-    friedman_raw = [friedman(matrices[name])[1] for name in metric_names]
-    friedman_adj = adjust(friedman_raw, "bonferroni")
+    friedman_raw = [friedman(matrices[name]) for name in metric_names]
+    friedman_adj = adjust([p for _, p in friedman_raw], "bonferroni")
 
     table: dict[str, dict[str, ComparisonVerdict]] = {}
-    for name, p_fr in zip(metric_names, friedman_adj):
+    for name, fr, p_fr in zip(metric_names, friedman_raw, friedman_adj):
         m = matrices[name]
         bench_col = m.treatment_names.index(benchmark)
         others = [i for i in range(len(m.treatment_names)) if i != bench_col]
@@ -304,6 +307,7 @@ def win_tie_loss(
                 ci=ci,
                 p_friedman_adj=p_fr,
                 p_conover_adj=p_cn,
+                friedman=fr,
             )
         table[name] = row
     return table

@@ -4,6 +4,7 @@ Everything here drives ``main(argv)`` in-process against artifacts in a
 tmp_path; only the start-up import check runs a fresh interpreter.
 """
 
+import csv
 import json
 import math
 import os
@@ -14,7 +15,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from spfp import evalstats
 from spfp.cli import FORMAT_VERSION, RunConfig, _write_json, main
+from spfp.evalstats import friedman
 from spfp.errors import ConfigError
 
 
@@ -181,6 +184,28 @@ class TestPartitionCommand:
         csv_path.write_text("\n".join(lines) + "\n")
         assert main(partition_argv(csv_path, tmp_path)) == 3
         assert "non-finite cell at row 5, column 'f0'" in capsys.readouterr().err
+        assert not (tmp_path / "views.json").exists()
+
+    def test_undecodable_input_exits_3(self, workdir, capsys):
+        tmp_path, csv_path = workdir
+        header, body = csv_path.read_bytes().split(b"\n", 1)
+        # past the first 8 KiB, so the header decodes and both parses run
+        csv_path.write_bytes(header + b"\n" + body * (1 + 8192 // len(body)) + b"\xff\n")
+        assert main(partition_argv(csv_path, tmp_path)) == 3
+        err = capsys.readouterr().err
+        assert f"{csv_path}: not UTF-8 text" in err
+        assert "internal error" not in err
+        assert not (tmp_path / "views.json").exists()
+
+    def test_field_over_the_csv_limit_exits_3(self, workdir, capsys):
+        tmp_path, csv_path = workdir
+        lines = csv_path.read_text().splitlines()
+        lines[5] = " " * (csv.field_size_limit() + 1) + lines[5]
+        csv_path.write_text("\n".join(lines) + "\n")
+        assert main(partition_argv(csv_path, tmp_path)) == 3
+        err = capsys.readouterr().err
+        assert f"{csv_path}: field larger than field limit" in err
+        assert "internal error" not in err
         assert not (tmp_path / "views.json").exists()
 
     def test_format_1_views_file_still_loads(self, partitioned):
@@ -548,6 +573,22 @@ class TestStatsCommand:
 
         log = read_json(tmp_path / "run_log.json")
         assert "stats" in log
+
+    def test_friedman_runs_once_per_metric(self, matrices, monkeypatch):
+        tmp_path = matrices
+        calls = []
+
+        def counting(m):
+            calls.append(m)
+            return friedman(m)
+
+        monkeypatch.setattr(evalstats, "friedman", counting)
+        assert main(self.stats_argv(tmp_path)) == 0
+        assert len(calls) == 2  # acc and loss
+        doc = read_json(tmp_path / "verdicts.json")
+        for name, m in zip(("acc", "loss"), calls):
+            statistic, p = friedman(m)
+            assert doc["metrics"][name]["friedman"] == {"statistic": statistic, "p": p}
 
     def test_rerun_is_byte_identical(self, matrices):
         tmp_path = matrices

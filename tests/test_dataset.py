@@ -117,7 +117,7 @@ def load_outcome(path, target, policy):
     """What load_csv returns or raises, in a form two runs can compare."""
     try:
         d = load_csv(path, target, missing_policy=policy)
-    except Exception as exc:  # the cell loop raises csv.Error as well as DataError
+    except Exception as exc:  # any type, so the two parses are compared on what they raise
         return type(exc), str(exc)
     return (d.features.dtype, d.features.shape, d.features.tobytes(), d.feature_names,
             d.target.dtype, d.target.tobytes(), d.class_names,

@@ -46,7 +46,45 @@ def penalized_nll(w_flat, xb, y, l2, n_cls):
 
 
 
-@pytest.mark.parametrize("k", [2, 3, 10, 20])
+def reference_softmax(z):
+    """The textbook softmax, out of place."""
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def reference_train(X, y, *, l2=1e-4, max_iters=500, tol=1e-6, n_classes=None):
+    """The out-of-place gradient descent train_builtin is a rewrite of:
+    returns (weights, iterations, final_loss)."""
+    X = np.asarray(X, dtype=np.float64)
+    n, d = X.shape
+    n_cls = int(n_classes) if n_classes is not None else int(y.max()) + 1
+    mean = X.mean(axis=0)
+    scale = X.std(axis=0)
+    scale[scale == 0.0] = 1.0
+    xb = np.hstack([np.ones((n, 1)), (X - mean) / scale])
+
+    lip = 0.5 * float(np.linalg.eigvalsh(xb.T @ xb)[-1]) / n + l2
+    lr = 1.0 / lip
+    w = np.zeros((d + 1, n_cls))
+    onehot = np.eye(n_cls)[y]
+    penalty_mask = np.ones((d + 1, 1))
+    penalty_mask[0, 0] = 0.0
+
+    iterations = 0
+    for _ in range(max_iters):
+        p = reference_softmax(xb @ w)
+        grad = xb.T @ (p - onehot) / n + l2 * (w * penalty_mask)
+        if float(np.abs(grad).max()) < tol:
+            break
+        w -= lr * grad
+        iterations += 1
+
+    p = reference_softmax(xb @ w)
+    p_true = np.clip(p[np.arange(n), y], 1e-15, 1.0 - 1e-15)
+    return w, iterations, float(-np.log2(p_true).mean())
+
+
+@pytest.mark.parametrize("k", [2, 3, 7, 8, 9, 10, 16, 17, 20, 127, 128, 129, 300])
 def test_softmax_equals_row_max_form(k):
     rng = np.random.default_rng(k)
     z = rng.normal(scale=3.0, size=(400, k))
@@ -57,10 +95,58 @@ def test_softmax_equals_row_max_form(k):
     z[110:120] = -1.0
     z[110:120, 0] = -0.0  # the row max is a zero of either sign
     z[110:120, -1] = 0.0
-    shifted = z - z.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    reference = e / e.sum(axis=1, keepdims=True)
-    assert np.array_equal(_softmax(z), reference)
+    reference = reference_softmax(z)  # before the call, which overwrites z
+    out = _softmax(z)
+    assert out is z
+    assert np.array_equal(out, reference)
+
+
+def oracle_data(n, d, k, seed, separation):
+    rng = np.random.default_rng(seed)
+    y = rng.integers(0, k, n).astype(np.intp)
+    X = rng.normal(size=(n, d))
+    X[:, 0] += separation * y
+    return X, y
+
+
+class TestTrainMatchesReference:
+    """train_builtin's in-place loop against the out-of-place one, with ==."""
+
+    def assert_same(self, X, y, **kwargs):
+        model = train_builtin(X, y, **kwargs)
+        w, iterations, final_loss = reference_train(X, y, **kwargs)
+        assert np.array_equal(model.weights, w)
+        assert model.iterations == iterations
+        assert model.final_loss == final_loss
+        xb = np.hstack([np.ones((X.shape[0], 1)), (X - model.mean) / model.scale])
+        assert np.array_equal(predict_proba(model, X), reference_softmax(xb @ w))
+        return model
+
+    @pytest.mark.parametrize("k", [2, 3, 10])
+    @pytest.mark.parametrize("d", [1, 15, 150])
+    def test_classes_and_widths(self, k, d):
+        self.assert_same(*oracle_data(300, d, k, seed=10 * k + d, separation=0.5), max_iters=60)
+
+    def test_constant_column(self):
+        X, y = oracle_data(200, 6, 3, seed=1, separation=1.0)
+        X[:, 2] = 4.0
+        self.assert_same(X, y, max_iters=60)
+
+    def test_more_classes_than_observed(self):
+        X, y = oracle_data(200, 4, 3, seed=2, separation=1.0)
+        model = self.assert_same(X, y, n_classes=5, max_iters=60)
+        assert model.weights.shape == (5, 5)
+
+    def test_converges_before_max_iters(self):
+        X, y = oracle_data(120, 2, 2, seed=3, separation=0.3)
+        model = self.assert_same(X, y, tol=1e-3, max_iters=2000)
+        assert 0 < model.iterations < 2000
+
+    def test_stops_at_max_iters(self):
+        X, y = oracle_data(200, 5, 3, seed=4, separation=4.0)
+        model = self.assert_same(X, y, tol=0.0, max_iters=300)
+        assert model.iterations == 300
+
 
 class TestTrainBuiltin:
     def test_separable_training_accuracy(self):
@@ -146,6 +232,13 @@ class TestTrainBuiltin:
             train_builtin(np.zeros((4, 2)), np.array([0, 1]))
         with pytest.raises(ConfigError):
             train_builtin(np.zeros((4, 2)), np.array([0, 1, 0, 1]), l2=-1.0)
+
+    @pytest.mark.parametrize("code", [-1, 2])
+    def test_class_code_outside_the_columns(self, code):
+        X, y = separable_toy(seed=9)
+        y[0] = code
+        with pytest.raises(DataError, match="class codes outside"):
+            train_builtin(X, y, n_classes=2)
 
     def test_iteration_cap(self):
         X, y = separable_toy(seed=7)
