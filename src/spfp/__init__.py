@@ -46,7 +46,6 @@ from .partitioning import (
     conditional_independence_report,
     criteria_met,
     partition,
-    score_candidate,
     view_stats,
 )
 
@@ -76,7 +75,6 @@ __all__ = [
     "View",
     "ViewSet",
     "PoolDepletedError",
-    "score_candidate",
     "criteria_met",
     "build_view",
     "partition",

@@ -38,8 +38,6 @@ from .errors import ConfigError, DataError, SpfpError
 from .evalstats import RunMatrix, win_tie_loss
 from .partitioning import (
     SpfpConfig,
-    View,
-    ViewSet,
     conditional_independence_report,
     partition,
     view_stats,
@@ -89,6 +87,9 @@ class RunConfig:
             # Format 1 carried the thread count of a since-removed pool;
             # it never changed a result.
             doc = {k: v for k, v in doc.items() if k != "workers"}
+        if doc.get("discretizer") == "passthrough_if_integral":
+            # A since-removed alias that gave the codes of equal_frequency.
+            doc = {**doc, "discretizer": "equal_frequency"}
         if version < FORMAT_VERSION:
             # Format 3 changed only the bootstrap intervals of `stats`,
             # which no config key sets, so older configs read as current.
@@ -172,6 +173,29 @@ def _read_views_doc(path: Path) -> tuple[dict, RunConfig]:
     return doc, RunConfig.from_dict(doc["config"])
 
 
+def _view_ids(doc: dict, d: Dataset) -> list[list[int]]:
+    """Each view's feature indices from a views file, checked against the
+    dataset the file is applied to."""
+    if list(d.feature_names) != list(doc.get("feature_names", d.feature_names)):
+        raise DataError("dataset columns do not match the views file")
+    view_ids = []
+    for g, v in enumerate(doc["views"], start=1):
+        try:
+            ids = v["features"]["indices"]
+        except (KeyError, TypeError):
+            raise DataError(f"view {g} in the views file has no features.indices") from None
+        valid = isinstance(ids, list) and ids and all(
+            type(i) is int and 0 <= i < d.n_features for i in ids
+        )
+        if not valid:
+            raise DataError(
+                f"view {g} indices must be a non-empty list of ints in "
+                f"[0, {d.n_features}), got {ids!r}"
+            )
+        view_ids.append(ids)
+    return view_ids
+
+
 # ---------------------------------------------------------------------------
 # partition
 
@@ -243,7 +267,7 @@ def cmd_partition(args) -> int:
     stats = {
         "format_version": FORMAT_VERSION,
         "config": rc.to_dict(),
-        **view_stats(vs, train.n_features),
+        **view_stats(vs),
     }
     _write_json(out / "view_stats.json", stats)
     _update_run_log(
@@ -333,9 +357,7 @@ def cmd_evaluate(args) -> int:
     started = time.time()
     t0 = time.perf_counter()
     d, train, test = _load_and_split(rc)
-    if list(d.feature_names) != list(doc.get("feature_names", d.feature_names)):
-        raise DataError("dataset columns do not match the views file")
-    view_ids = [list(v["features"]["indices"]) for v in doc["views"]]
+    view_ids = _view_ids(doc, d)
     n_views = len(view_ids)
 
     reports: dict[str, object] = {}
@@ -436,16 +458,7 @@ def cmd_evaluate(args) -> int:
         },
         "ensembles": ensembles_meta,
         "training": training,
-        "models": {
-            name: {
-                "f1_micro": rep.f1_micro,
-                "auc": rep.auc,
-                "log_loss": rep.log_loss,
-                "mec": rep.mec,
-                "mew": rep.mew,
-            }
-            for name, rep in reports.items()
-        },
+        "models": {name: rep.to_dict() for name, rep in reports.items()},
     }
     _write_json(out / "metrics.json", metrics_json)
     _update_run_log(
@@ -487,28 +500,12 @@ def cmd_diagnose(args) -> int:
     started = time.time()
     t0 = time.perf_counter()
     d, train, _test = _load_and_split(rc)
-    views = [
-        View(
-            feature_ids=list(v["features"]["indices"]),
-            scores=list(v["scores"]),
-            h_s=v["h_s"],
-            h_sy=v["h_sy"],
-            termination=v["termination"],
-        )
-        for v in doc["views"]
-    ]
-    vs = ViewSet(
-        views=views,
-        removed_log=[list(r) for r in doc.get("removed", [])],
-        elapsed=[0.0] * len(views),
-        h_f=doc["h_f"],
-        h_fy=doc["h_fy"],
-        n_features=train.n_features,
-        config=rc.spfp_config(),
-    )
+    view_ids = _view_ids(doc, d)
+    load_counters = _load_counters(d)
+    del d, _test  # the report reads only the training rows
     coded = discretize(train, rc.bins, rc.discretizer)
     report = conditional_independence_report(
-        vs, coded, train.target, tolerance=rc.entropy_tolerance
+        view_ids, coded, train.target, tolerance=rc.entropy_tolerance
     )
     out = Path(rc.out)
     _write_json(
@@ -521,7 +518,7 @@ def cmd_diagnose(args) -> int:
         {
             "started_unix": started,
             "elapsed_seconds": time.perf_counter() - t0,
-            **_load_counters(d),
+            **load_counters,
         },
     )
     cmi = np.asarray(report["pairwise_cmi"])
@@ -655,7 +652,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fraction of each view removed from the master pool")
     p.add_argument("--bins", type=int, default=10)
     p.add_argument("--discretizer", default="equal_frequency",
-                   choices=["equal_frequency", "equal_width", "passthrough_if_integral"])
+                   choices=["equal_frequency", "equal_width"])
     p.add_argument("--tolerance", type=float, default=1e-9,
                    help="relative tolerance for the entropy stopping criteria")
     p.add_argument("--seed", type=int, default=0)

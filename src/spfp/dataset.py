@@ -23,7 +23,7 @@ from .seeding import SPLIT_STREAM, substream
 __all__ = ["Dataset", "CodedMatrix", "SplitSpec", "load_csv", "discretize", "split"]
 
 _MISSING_TOKENS = {"", "na", "n/a", "nan", "null"}
-_STRATEGIES = ("equal_frequency", "equal_width", "passthrough_if_integral")
+_STRATEGIES = ("equal_frequency", "equal_width")
 
 
 @dataclass
@@ -86,7 +86,6 @@ class SplitSpec:
 
     test_fraction: float
     seed: int
-    stratified: bool = True
 
     def __post_init__(self) -> None:
         if not 0.0 < self.test_fraction < 1.0:
@@ -302,8 +301,7 @@ def discretize(d: Dataset, bins: int = 10, strategy: str = "equal_frequency") ->
 
     Integral columns with at most `bins` distinct values pass through as
     dense codes regardless of strategy. Remaining columns are cut at
-    column quantiles (equal_frequency, also the rule behind
-    passthrough_if_integral) or at uniform intervals (equal_width);
+    column quantiles (equal_frequency) or at uniform intervals (equal_width);
     duplicate cut points are merged, so cardinality may come out below
     `bins`. Constant columns get cardinality 1. Coding is order-preserving
     per column.
@@ -357,30 +355,25 @@ def _stratified_test_counts(class_sizes: np.ndarray, test_fraction: float) -> np
 
 
 def split(d: Dataset, spec: SplitSpec, stream: int = SPLIT_STREAM) -> tuple[Dataset, Dataset]:
-    """Deterministic train/test split; stratified keeps every class on both sides.
+    """Deterministic train/test split by per-class quotas: every class on both sides.
 
     `stream` names the RNG substream, so one seed can drive several
     independent splits (outer train/test vs inner holdout)."""
     rng = substream(spec.seed, stream)
-    n = d.n_rows
-    if spec.stratified:
-        class_sizes = np.bincount(d.target, minlength=d.n_classes)
-        if class_sizes.min() < 2:
-            tiny = d.class_names[int(class_sizes.argmin())]
-            raise DataError(
-                f"class '{tiny}' has fewer than 2 rows; cannot appear in both sides"
-            )
-        counts = _stratified_test_counts(class_sizes, spec.test_fraction)
-        test_rows: list[np.ndarray] = []
-        for c in range(d.n_classes):
-            members = np.flatnonzero(d.target == c)
-            picked = rng.permutation(members.shape[0])[: counts[c]]
-            test_rows.append(members[picked])
-        test_idx = np.sort(np.concatenate(test_rows))
-    else:
-        n_test = min(max(int(math.floor(spec.test_fraction * n + 0.5)), 1), n - 1)
-        test_idx = np.sort(rng.permutation(n)[:n_test])
-    mask = np.zeros(n, dtype=bool)
+    class_sizes = np.bincount(d.target, minlength=d.n_classes)
+    if class_sizes.min() < 2:
+        tiny = d.class_names[int(class_sizes.argmin())]
+        raise DataError(
+            f"class '{tiny}' has fewer than 2 rows; cannot appear in both sides"
+        )
+    counts = _stratified_test_counts(class_sizes, spec.test_fraction)
+    test_rows: list[np.ndarray] = []
+    for c in range(d.n_classes):
+        members = np.flatnonzero(d.target == c)
+        picked = rng.permutation(members.shape[0])[: counts[c]]
+        test_rows.append(members[picked])
+    test_idx = np.sort(np.concatenate(test_rows))
+    mask = np.zeros(d.n_rows, dtype=bool)
     mask[test_idx] = True
     train_idx = np.flatnonzero(~mask)
     return d.subset(train_idx), d.subset(test_idx)

@@ -234,13 +234,11 @@ def pearson_abs(x, y) -> float:
 
 
 class PairCache:
-    """Pairwise MI and CMI-given-target, in bits, memoised two ways.
+    """Pairwise MI and CMI-given-target, in bits, memoised by feature.
 
-    `pair_stats` computes one unordered pair in one joint-counting pass and
-    is the reference path. `winner_stats` computes a feature against every
-    feature in one counting sweep, memoised by that feature; the greedy
-    search calls it once per selected feature, and a feature selected again
-    in a later view reuses it. Both give bit-identical values.
+    `winner_stats` computes a feature against every feature in one counting
+    sweep; the greedy search calls it once per selected feature, and a
+    feature selected again in a later view reuses it.
     """
 
     def __init__(self, codes: np.ndarray, cardinalities, target) -> None:
@@ -260,12 +258,7 @@ class PairCache:
             _entropy_from_counts(np.bincount(_combine(c, self._target, self._t_card)))
             for c in self._cols
         ])
-        self._pair: dict[tuple[int, int], tuple[float, float]] = {}
         self._winner: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-    @property
-    def target_entropy(self) -> float:
-        return self._h_target
 
     def feature_entropy(self, i: int) -> float:
         return float(self._h_feat[i])
@@ -278,29 +271,6 @@ class PairCache:
         """I(f_i; Y)."""
         value = self.feature_entropy(i) + self._h_target - self.feature_target_entropy(i)
         return max(0.0, value)
-
-    def pair_stats(self, i: int, j: int) -> tuple[float, float]:
-        """(I(f_i;f_j), I(f_i;f_j|Y)) for an unordered feature pair."""
-        key = (i, j) if i <= j else (j, i)
-        hit = self._pair.get(key)
-        if hit is not None:
-            return hit
-        a, b = key
-        joint = _combine(self._cols[a], self._cols[b], int(self._cards[b]))
-        h_ab = _entropy_from_counts(np.bincount(joint))
-        h_abt = _entropy_from_counts(
-            np.bincount(_combine(joint, self._target, self._t_card))
-        )
-        mi = max(0.0, self.feature_entropy(a) + self.feature_entropy(b) - h_ab)
-        cmi = max(
-            0.0,
-            self.feature_target_entropy(a)
-            + self.feature_target_entropy(b)
-            - h_abt
-            - self._h_target,
-        )
-        self._pair[key] = (mi, cmi)
-        return (mi, cmi)
 
     def winner_stats(self, w: int) -> tuple[np.ndarray, np.ndarray]:
         """(I(f_w;f_c), I(f_w;f_c|Y)) for every feature c, as two arrays.
@@ -336,12 +306,6 @@ class PairCache:
         self._winner[w] = (mi, cmi)
         return self._winner[w]
 
-    def mi(self, i: int, j: int) -> float:
-        return self.pair_stats(i, j)[0]
-
-    def cmi(self, i: int, j: int) -> float:
-        return self.pair_stats(i, j)[1]
-
     def __len__(self) -> int:
-        """Number of pair statistics computed by either path."""
-        return len(self._pair) + self._cols.shape[0] * len(self._winner)
+        """Number of pair statistics computed."""
+        return self._cols.shape[0] * len(self._winner)

@@ -29,7 +29,7 @@ import numpy as np
 
 from .dataset import CodedMatrix, Dataset, discretize
 from .errors import ConfigError, DataError
-from .infometrics import PairCache, RowPartition, pearson_abs
+from .infometrics import PairCache, RowPartition
 from .seeding import REMOVAL_STREAM, substream
 
 __all__ = [
@@ -37,7 +37,6 @@ __all__ = [
     "View",
     "ViewSet",
     "PoolDepletedError",
-    "score_candidate",
     "criteria_met",
     "build_view",
     "partition",
@@ -119,7 +118,6 @@ class ViewSet:
     h_f: float
     h_fy: float
     n_features: int
-    config: SpfpConfig
 
     @property
     def union_ids(self) -> list[int]:
@@ -198,41 +196,6 @@ def criteria_met(
     c2 = h_s >= h_f * (1.0 - tol)
     c3 = h_sy >= h_fy * (1.0 - tol)
     return (c1, c2, c3)
-
-
-def score_candidate(
-    f_c: int,
-    selected,
-    cache: PairCache,
-    raw_features: np.ndarray,
-    target: np.ndarray,
-    relevance_correlation: str = "codes",
-) -> float:
-    """Objective value of one candidate against the current selection.
-
-    Reference path used by tests and one-off scoring; `build_view` keeps
-    incremental per-candidate sums instead of re-walking `selected`.
-    """
-    if f_c < 0 or f_c >= raw_features.shape[1]:
-        raise ConfigError(f"candidate index {f_c} out of range")
-    if relevance_correlation == "codes":
-        rel = pearson_abs(raw_features[:, f_c], target.astype(np.float64))
-    else:
-        n_classes = int(target.max()) + 1
-        rel = max(
-            pearson_abs(raw_features[:, f_c], (target == c).astype(np.float64))
-            for c in range(n_classes)
-        )
-    j = rel + cache.mi_with_target(f_c)
-    if len(selected) > 0:
-        mi_sum = 0.0
-        cmi_sum = 0.0
-        for f_s in selected:
-            mi, cmi = cache.pair_stats(f_s, f_c)
-            mi_sum += mi
-            cmi_sum += cmi
-        j += (cmi_sum - mi_sum) / len(selected)
-    return j
 
 
 @dataclass
@@ -391,11 +354,10 @@ def partition(d: Dataset, config: SpfpConfig) -> ViewSet:
         h_f=ctx.h_f,
         h_fy=ctx.h_fy,
         n_features=d.n_features,
-        config=config,
     )
 
 
-def view_stats(vs: ViewSet, n_features: int | None = None) -> dict:
+def view_stats(vs: ViewSet) -> dict:
     """Size and overlap summary of a ViewSet (the body of view_stats.json).
 
     `overlap` is the pairwise common-feature count matrix (diagonal =
@@ -403,7 +365,6 @@ def view_stats(vs: ViewSet, n_features: int | None = None) -> dict:
     """
     if not vs.views:
         raise ConfigError("empty ViewSet")
-    n_feat = n_features if n_features is not None else vs.n_features
     sets = [set(v.feature_ids) for v in vs.views]
     k = len(sets)
     overlap = [[len(sets[a] & sets[b]) for b in range(k)] for a in range(k)]
@@ -411,32 +372,32 @@ def view_stats(vs: ViewSet, n_features: int | None = None) -> dict:
         "view_sizes": [len(v) for v in vs.views],
         "union_size": vs.union_size,
         "intersection_size": vs.intersection_size,
-        "view_ratios": [len(v) / n_feat for v in vs.views],
-        "union_ratio": vs.union_size / n_feat,
+        "view_ratios": [len(v) / vs.n_features for v in vs.views],
+        "union_ratio": vs.union_size / vs.n_features,
         "overlap": overlap,
         "terminations": [v.termination for v in vs.views],
     }
 
 
 def conditional_independence_report(
-    vs: ViewSet,
+    view_ids: list[list[int]],
     coded: CodedMatrix,
     target: np.ndarray,
     tolerance: float = 1e-9,
 ) -> dict:
     """Empirical check of the view-pair conditional-independence assumption.
 
-    Computes I(view_a; view_b | Y) for every pair via row partitions over
-    each view's joint state, together with H(F), H(Y), and whether
-    H(F) <= H(Y), the necessary condition for all pairwise conditional
-    independences to hold at full information content.
+    `view_ids` holds each view's feature indices into `coded`. Computes
+    I(view_a; view_b | Y) for every pair via row partitions over each
+    view's joint state, together with H(F), H(Y), and whether H(F) <= H(Y),
+    the necessary condition for all pairwise conditional independences to
+    hold at full information content.
     """
-    if len(vs.views) < 2:
+    if len(view_ids) < 2:
         raise ConfigError("conditional independence needs at least two views")
     target = np.asarray(target, dtype=np.intp)
     group_cols = [
-        RowPartition.from_columns(coded.codes[:, v.feature_ids].T).group_id
-        for v in vs.views
+        RowPartition.from_columns(coded.codes[:, ids].T).group_id for ids in view_ids
     ]
     part_y = RowPartition.trivial(coded.n_rows).refine(target)
     h_y = part_y.entropy()

@@ -98,6 +98,10 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="unknown config keys.*workers"):
             RunConfig.from_dict(doc)
 
+    def test_removed_discretizer_alias_reads_as_equal_frequency(self):
+        doc = {"input": "a.csv", "target": "y", "discretizer": "passthrough_if_integral"}
+        assert RunConfig.from_dict(doc) == RunConfig(input="a.csv", target="y")
+
 
 class TestJsonOutput:
     def test_nan_is_refused(self, tmp_path):
@@ -235,6 +239,13 @@ class TestPartitionCommand:
         argv = partition_argv(csv_path, tmp_path,
                               **{"--discretizer": "kmeans"})
         assert main(argv) == 2
+
+    def test_removed_discretizer_alias_exits_2(self, workdir):
+        tmp_path, csv_path = workdir
+        argv = partition_argv(csv_path, tmp_path,
+                              **{"--discretizer": "passthrough_if_integral"})
+        assert main(argv) == 2
+        assert not (tmp_path / "views.json").exists()
 
     def test_min_count_and_min_frac_conflict_exits_2(self, workdir):
         tmp_path, csv_path = workdir
@@ -477,6 +488,42 @@ class TestDiagnoseCommand:
 
     def test_missing_views_file_exits_3(self, tmp_path):
         assert main(["diagnose", "--out", str(tmp_path)]) == 3
+
+    def test_column_mismatch_exits_3(self, partitioned, capsys):
+        tmp_path, _ = partitioned
+        views_path = tmp_path / "views.json"
+        doc = read_json(views_path)
+        doc["feature_names"][0] = "renamed"
+        views_path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["diagnose", "--out", str(tmp_path)]) == 3
+        assert "dataset columns do not match the views file" in capsys.readouterr().err
+        assert not (tmp_path / "independence.json").exists()
+
+
+class TestViewsFileIndices:
+    @pytest.mark.parametrize("command", ["evaluate", "diagnose"])
+    @pytest.mark.parametrize("indices", [[-1, 0], [0, 99], [0.5, 1], [], [True, 1]],
+                             ids=["negative", "past_end", "float", "empty", "bool"])
+    def test_bad_indices_exit_3(self, partitioned, capsys, command, indices):
+        tmp_path, _ = partitioned
+        views_path = tmp_path / "views.json"
+        doc = read_json(views_path)
+        doc["views"][1]["features"]["indices"] = indices
+        views_path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main([command, "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert "view 2 indices must be a non-empty list of ints in [0, 12)" in err
+        assert "internal error" not in err
+
+    @pytest.mark.parametrize("command", ["evaluate", "diagnose"])
+    def test_view_without_indices_exits_3(self, partitioned, capsys, command):
+        tmp_path, _ = partitioned
+        views_path = tmp_path / "views.json"
+        doc = read_json(views_path)
+        del doc["views"][1]["features"]
+        views_path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main([command, "--out", str(tmp_path)]) == 3
+        assert "view 2 in the views file has no features.indices" in capsys.readouterr().err
 
 
 

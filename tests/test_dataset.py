@@ -288,7 +288,7 @@ class TestDiscretize:
         X = rng.normal(size=(80, 5))
         X[:, 2] = rng.integers(0, 3, size=80)  # integral passthrough column
         d = make_dataset(X, rng.integers(0, 2, size=80))
-        for strategy in ("equal_frequency", "equal_width", "passthrough_if_integral"):
+        for strategy in ("equal_frequency", "equal_width"):
             coded = discretize(d, bins=6, strategy=strategy)
             for j in range(5):
                 col = coded.codes[:, j]
@@ -354,12 +354,6 @@ class TestSplit:
         d = make_dataset(np.arange(8.0).reshape(4, 2), [0, 0, 0, 1])
         with pytest.raises(DataError, match="fewer than 2 rows"):
             split(d, SplitSpec(0.5, seed=0))
-
-    def test_non_stratified(self):
-        d = make_dataset(np.arange(40.0).reshape(20, 2), [0, 1] * 10)
-        train, test = split(d, SplitSpec(0.3, seed=5, stratified=False))
-        assert test.n_rows == 6
-        assert train.n_rows == 14
 
     def test_spec_validation(self):
         with pytest.raises(ConfigError):

@@ -17,7 +17,6 @@ from numpy.testing import assert_allclose
 from spfp.dataset import Dataset, discretize
 from spfp.errors import ConfigError
 from spfp.infometrics import (
-    PairCache,
     conditional_mutual_information,
     joint_entropy,
     mutual_information,
@@ -31,7 +30,6 @@ from spfp.partitioning import (
     conditional_independence_report,
     criteria_met,
     partition,
-    score_candidate,
     view_stats,
 )
 
@@ -62,12 +60,15 @@ def oracle_entropy(*columns) -> float:
 
 
 def oracle_greedy(coded, raw, target, n_f, tol=1e-9):
-    """Greedy selection recomputing every term from scratch each step."""
+    """Greedy selection recomputing every term from scratch each step.
+
+    Returns the selected features and each step's winning score."""
     cols = [coded.codes[:, j] for j in range(coded.n_columns)]
     h_f = joint_entropy(cols)
     h_fy = joint_entropy(cols + [target])
     pool = list(range(coded.n_columns))
     selected: list = []
+    scores: list = []
     while pool:
         chosen = [cols[j] for j in selected]
         h_s = joint_entropy(chosen) if selected else 0.0
@@ -88,8 +89,9 @@ def oracle_greedy(coded, raw, target, n_f, tol=1e-9):
             if score > best_score:  # strict: first maximum keeps lowest index
                 best_score, best = score, c
         selected.append(best)
+        scores.append(best_score)
         pool.remove(best)
-    return selected
+    return selected, scores
 
 
 class TestSpfpConfig:
@@ -121,61 +123,6 @@ class TestSpfpConfig:
         assert SpfpConfig(min_features=0.01).resolve_min_features(5) == 1
         assert SpfpConfig(min_features=7).resolve_min_features(100) == 7
         assert SpfpConfig(min_features=0.25).resolve_min_features(10) == 3  # ceil
-
-
-class _StubCache:
-    """Cache double returning fixed information values, for formula checks."""
-
-    def __init__(self, mi_y, mi, cmi):
-        self._mi_y, self._mi, self._cmi = mi_y, mi, cmi
-
-    def mi_with_target(self, i):
-        return self._mi_y
-
-    def pair_stats(self, a, b):
-        return (self._mi, self._cmi)
-
-
-class TestScoreCandidate:
-    def test_empty_selection_is_relevance_plus_mi(self):
-        rng = np.random.default_rng(0)
-        d = random_dataset(rng, 40, 4)
-        coded = discretize(d, bins=4)
-        cache = PairCache(coded.codes, coded.cardinalities, d.target)
-        for f_c in range(4):
-            expected = pearson_abs(d.features[:, f_c], d.target.astype(np.float64))
-            expected += mutual_information(coded.codes[:, f_c], d.target)
-            got = score_candidate(f_c, [], cache, d.features, d.target)
-            assert_allclose(got, expected, rtol=0, atol=1e-12)
-
-    def test_pure_redundancy_penalty(self):
-        # candidate carrying zero target information, fully known from the
-        # one selected feature: J reduces to |R| minus the entropy penalty
-        raw = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0], [4.0, 4.0]])
-        target = np.array([0, 1, 0, 1])
-        h_c = 2.0  # pretend H(f_c) = 2 bits
-        cache = _StubCache(mi_y=0.0, mi=h_c, cmi=0.0)
-        rel = pearson_abs(raw[:, 1], target.astype(np.float64))
-        got = score_candidate(1, [0], cache, raw, target)
-        assert_allclose(got, rel - h_c, rtol=0, atol=1e-12)
-
-    def test_independent_candidate_scores_zero(self):
-        # product design: f_c independent of the selected feature and of the
-        # target, with symmetric values so the Pearson term vanishes too
-        f_s = np.array([0, 0, 0, 0, 1, 1, 1, 1], dtype=np.float64)
-        f_c = np.array([0, 1, 0, 1, 0, 1, 0, 1], dtype=np.float64)
-        y = np.array([0, 0, 1, 1, 0, 0, 1, 1], dtype=np.intp)
-        raw = np.column_stack([f_s, f_c])
-        codes = raw.astype(np.intp)
-        cache = PairCache(codes, np.array([2, 2]), y)
-        got = score_candidate(1, [0], cache, raw, y)
-        assert got == 0.0
-
-    def test_out_of_range_candidate(self):
-        raw = np.zeros((4, 2))
-        cache = _StubCache(0.0, 0.0, 0.0)
-        with pytest.raises(ConfigError):
-            score_candidate(5, [], cache, raw, np.array([0, 1, 0, 1]))
 
 
 class TestCriteriaMet:
@@ -249,22 +196,9 @@ class TestBuildView:
             )
             vs = partition(d, cfg)
             coded = discretize(d, bins=4)
-            expected = oracle_greedy(coded, d.features, d.target, n_f)
+            expected, scores = oracle_greedy(coded, d.features, d.target, n_f)
             assert vs.views[0].feature_ids == expected, f"trial {trial}"
-
-    def test_scores_match_reference_path(self):
-        rng = np.random.default_rng(7)
-        d = random_dataset(rng, 48, 6)
-        cfg = SpfpConfig(n_views=1, min_features=2, remove_fraction=0.0, bins=4)
-        vs = partition(d, cfg)
-        view = vs.views[0]
-        coded = discretize(d, bins=4)
-        cache = PairCache(coded.codes, coded.cardinalities, d.target)
-        for step, winner in enumerate(view.feature_ids):
-            ref = score_candidate(
-                winner, view.feature_ids[:step], cache, d.features, d.target
-            )
-            assert_allclose(view.scores[step], ref, rtol=0, atol=1e-9)
+            assert_allclose(vs.views[0].scores, scores, rtol=0, atol=1e-9)
 
 
 class TestPartition:
@@ -366,7 +300,7 @@ class TestPartition:
             try:
                 vs = partition(d, cfg)
             except PoolDepletedError as exc:  # pragma: no cover - seed dependent
-                vs = ViewSet(exc.views, exc.removed_log, [], 0.0, 0.0, 7, cfg)
+                vs = ViewSet(exc.views, exc.removed_log, [], 0.0, 0.0, 7)
         coded = discretize(d, bins=4)
         cols = [coded.codes[:, j] for j in range(7)]
         h_f = joint_entropy(cols)
@@ -411,7 +345,6 @@ def make_viewset(id_lists, n_features):
         h_f=0.0,
         h_fy=0.0,
         n_features=n_features,
-        config=SpfpConfig(),
     )
 
 
@@ -452,8 +385,7 @@ class TestConditionalIndependenceReport:
         rng = np.random.default_rng(13)
         d = random_dataset(rng, 40, 4)
         coded = discretize(d, bins=4)
-        vs = make_viewset([[0, 1], [0, 1]], 4)
-        report = conditional_independence_report(vs, coded, d.target)
+        report = conditional_independence_report([[0, 1], [0, 1]], coded, d.target)
         h_view_given_y = oracle_entropy(
             coded.codes[:, 0], coded.codes[:, 1], d.target
         ) - oracle_entropy(d.target)
@@ -465,8 +397,7 @@ class TestConditionalIndependenceReport:
         X = np.column_stack([y, (y + 1) % 3]).astype(np.float64)
         d = make_dataset(X, y)
         coded = discretize(d, bins=5)
-        vs = make_viewset([[0], [1]], 2)
-        report = conditional_independence_report(vs, coded, d.target)
+        report = conditional_independence_report([[0], [1]], coded, d.target)
         assert_allclose(report["pairwise_cmi"], np.zeros((2, 2)), atol=1e-12)
         assert report["h_f_le_h_y"] is True
         assert report["assumption_violated"] is False
@@ -475,8 +406,7 @@ class TestConditionalIndependenceReport:
         rng = np.random.default_rng(14)
         d = random_dataset(rng, 48, 6, n_classes=3)
         coded = discretize(d, bins=3)
-        vs = make_viewset([[0, 1, 2], [3, 4, 5]], 6)
-        report = conditional_independence_report(vs, coded, d.target)
+        report = conditional_independence_report([[0, 1, 2], [3, 4, 5]], coded, d.target)
         a = [coded.codes[:, j] for j in (0, 1, 2)]
         b = [coded.codes[:, j] for j in (3, 4, 5)]
         y = d.target
@@ -494,6 +424,5 @@ class TestConditionalIndependenceReport:
         rng = np.random.default_rng(15)
         d = random_dataset(rng, 20, 3)
         coded = discretize(d, bins=3)
-        vs = make_viewset([[0, 1]], 3)
         with pytest.raises(ConfigError):
-            conditional_independence_report(vs, coded, d.target)
+            conditional_independence_report([[0, 1]], coded, d.target)
