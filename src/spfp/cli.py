@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import Dataset, SplitSpec, discretize, load_csv, split
+from .dataset import Dataset, SplitSpec, _file_errors, discretize, load_csv, split, split_rows
 from .ensemble import (
     ProbModel,
     ensemble_predict,
@@ -46,7 +46,7 @@ from .seeding import HOLDOUT_STREAM
 
 __all__ = ["RunConfig", "main", "build_parser", "FORMAT_VERSION"]
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 EXIT_OK, EXIT_CONFIG, EXIT_DATA, EXIT_INTERNAL = 0, 2, 3, 4
 
 
@@ -91,8 +91,9 @@ class RunConfig:
             # A since-removed alias that gave the codes of equal_frequency.
             doc = {**doc, "discretizer": "equal_frequency"}
         if version < FORMAT_VERSION:
-            # Format 3 changed only the bootstrap intervals of `stats`,
-            # which no config key sets, so older configs read as current.
+            # Format 3 changed only the bootstrap intervals of `stats` and
+            # format 4 only its p-values; no config key sets either, so
+            # older configs read as current.
             doc = {**doc, "format_version": FORMAT_VERSION}
         known = {f.name for f in fields(cls)}
         unknown = set(doc) - known
@@ -150,6 +151,15 @@ def _load_and_split(rc: RunConfig) -> tuple[Dataset, Dataset, Dataset]:
     return d, train, test
 
 
+def _load_train(rc: RunConfig) -> tuple[Dataset, int, dict]:
+    """The training rows of `_load_and_split`, the test row count and the
+    load counters, without building the test rows or keeping the full
+    table: `partition` and `diagnose` read the training rows alone."""
+    d = load_csv(rc.input, rc.target, missing_policy=rc.missing_policy)
+    train_idx, test_idx = split_rows(d, SplitSpec(rc.test_fraction, rc.seed))
+    return d.subset(train_idx), test_idx.size, _load_counters(d)
+
+
 def _load_counters(d: Dataset) -> dict:
     """What the missing-value policy did to the input, for run_log.json."""
     return {"rows_rejected": d.n_rejected_rows, "cells_imputed": d.n_imputed_cells}
@@ -184,13 +194,16 @@ def _view_ids(doc: dict, d: Dataset) -> list[list[int]]:
             ids = v["features"]["indices"]
         except (KeyError, TypeError):
             raise DataError(f"view {g} in the views file has no features.indices") from None
-        valid = isinstance(ids, list) and ids and all(
-            type(i) is int and 0 <= i < d.n_features for i in ids
+        valid = (
+            isinstance(ids, list)
+            and ids
+            and all(type(i) is int and 0 <= i < d.n_features for i in ids)
+            and len(set(ids)) == len(ids)
         )
         if not valid:
             raise DataError(
                 f"view {g} indices must be a non-empty list of ints in "
-                f"[0, {d.n_features}), got {ids!r}"
+                f"[0, {d.n_features}) without repeats, got {ids!r}"
             )
         view_ids.append(ids)
     return view_ids
@@ -231,7 +244,7 @@ def cmd_partition(args) -> int:
     )
     started = time.time()
     t0 = time.perf_counter()
-    d, train, test = _load_and_split(rc)
+    train, n_test_rows, load_counters = _load_train(rc)
     vs = partition(train, rc.spfp_config())
 
     out = Path(rc.out)
@@ -241,15 +254,15 @@ def cmd_partition(args) -> int:
         "seed": rc.seed,
         "n_features": train.n_features,
         "n_train_rows": train.n_rows,
-        "n_test_rows": test.n_rows,
-        "feature_names": list(d.feature_names),
+        "n_test_rows": n_test_rows,
+        "feature_names": list(train.feature_names),
         "h_f": vs.h_f,
         "h_fy": vs.h_fy,
         "views": [
             {
                 "features": {
                     "indices": list(v.feature_ids),
-                    "names": [d.feature_names[i] for i in v.feature_ids],
+                    "names": [train.feature_names[i] for i in v.feature_ids],
                 },
                 "scores": list(v.scores),
                 "h_s": v.h_s,
@@ -277,7 +290,7 @@ def cmd_partition(args) -> int:
             "started_unix": started,
             "elapsed_seconds": time.perf_counter() - t0,
             "view_elapsed_seconds": list(vs.elapsed),
-            **_load_counters(d),
+            **load_counters,
         },
     )
 
@@ -306,7 +319,7 @@ def _read_proba_csv(path: Path, n_rows: int, n_classes: int) -> np.ndarray:
     probability vectors."""
     expected = ["row_id"] + [f"class_{c}" for c in range(n_classes)]
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8") as fh, _file_errors(path):
             rows = list(csv.reader(fh))
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
@@ -359,6 +372,8 @@ def cmd_evaluate(args) -> int:
     d, train, test = _load_and_split(rc)
     view_ids = _view_ids(doc, d)
     n_views = len(view_ids)
+    n_classes, load_counters = d.n_classes, _load_counters(d)
+    del d  # the models read only the split rows
 
     reports: dict[str, object] = {}
     elapsed: dict[str, float] = {}
@@ -374,7 +389,7 @@ def cmd_evaluate(args) -> int:
             name = _model_name(g)
             tm = time.perf_counter()
             proba = _read_proba_csv(
-                proba_dir / f"{name}.csv", test.n_rows, d.n_classes
+                proba_dir / f"{name}.csv", test.n_rows, n_classes
             )
             test_probas.append(proba)
             report = metrics(proba, test.target)
@@ -382,14 +397,14 @@ def cmd_evaluate(args) -> int:
             reports[name] = report
             member_auc.append(report.auc)
         models = [
-            ProbModel(kind="imported", n_classes=d.n_classes, proba=p)
+            ProbModel(kind="imported", n_classes=n_classes, proba=p)
             for p in test_probas
         ]
         rows_for_predict = None
         all_path = proba_dir / "All.csv"
         if all_path.exists():
             tm = time.perf_counter()
-            proba = _read_proba_csv(all_path, test.n_rows, d.n_classes)
+            proba = _read_proba_csv(all_path, test.n_rows, n_classes)
             reports["All"] = metrics(proba, test.target)
             elapsed["All"] = time.perf_counter() - tm
         else:
@@ -402,6 +417,7 @@ def cmd_evaluate(args) -> int:
         inner_train, holdout = split(
             train, SplitSpec(rc.holdout_fraction, rc.seed), stream=HOLDOUT_STREAM
         )
+        del train  # training reads the inner split and the holdout
         models = []
         for g, ids in enumerate(view_ids):
             name = _model_name(g)
@@ -413,7 +429,7 @@ def cmd_evaluate(args) -> int:
                 max_iters=rc.max_iters,
                 tol=rc.opt_tol,
                 feature_ids=ids,
-                n_classes=d.n_classes,
+                n_classes=n_classes,
             )
             auc_g = metrics(predict_proba(model, holdout.features), holdout.target).auc
             proba = predict_proba(model, test.features)
@@ -429,7 +445,7 @@ def cmd_evaluate(args) -> int:
             l2=rc.l2,
             max_iters=rc.max_iters,
             tol=rc.opt_tol,
-            n_classes=d.n_classes,
+            n_classes=n_classes,
         )
         reports["All"] = metrics(predict_proba(all_model, test.features), test.target)
         elapsed["All"] = time.perf_counter() - tm
@@ -468,7 +484,7 @@ def cmd_evaluate(args) -> int:
             "started_unix": started,
             "elapsed_seconds": time.perf_counter() - t0,
             "model_elapsed_seconds": elapsed,
-            **_load_counters(d),
+            **load_counters,
         },
     )
 
@@ -499,13 +515,13 @@ def cmd_diagnose(args) -> int:
     rc.out = args.out
     started = time.time()
     t0 = time.perf_counter()
-    d, train, _test = _load_and_split(rc)
-    view_ids = _view_ids(doc, d)
-    load_counters = _load_counters(d)
-    del d, _test  # the report reads only the training rows
+    train, _, load_counters = _load_train(rc)
+    view_ids = _view_ids(doc, train)
     coded = discretize(train, rc.bins, rc.discretizer)
+    target = train.target
+    del train  # the report reads only the codes
     report = conditional_independence_report(
-        view_ids, coded, train.target, tolerance=rc.entropy_tolerance
+        view_ids, coded, target, tolerance=rc.entropy_tolerance
     )
     out = Path(rc.out)
     _write_json(
@@ -537,7 +553,7 @@ def cmd_diagnose(args) -> int:
 
 def _read_run_matrix(path: Path, lower_better: bool) -> RunMatrix:
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8") as fh, _file_errors(path):
             rows = list(csv.reader(fh))
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc

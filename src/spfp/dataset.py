@@ -20,7 +20,7 @@ import numpy as np
 from .errors import ConfigError, DataError
 from .seeding import SPLIT_STREAM, substream
 
-__all__ = ["Dataset", "CodedMatrix", "SplitSpec", "load_csv", "discretize", "split"]
+__all__ = ["Dataset", "CodedMatrix", "SplitSpec", "load_csv", "discretize", "split", "split_rows"]
 
 _MISSING_TOKENS = {"", "na", "n/a", "nan", "null"}
 _STRATEGIES = ("equal_frequency", "equal_width")
@@ -359,6 +359,15 @@ def split(d: Dataset, spec: SplitSpec, stream: int = SPLIT_STREAM) -> tuple[Data
 
     `stream` names the RNG substream, so one seed can drive several
     independent splits (outer train/test vs inner holdout)."""
+    train_idx, test_idx = split_rows(d, spec, stream)
+    return d.subset(train_idx), d.subset(test_idx)
+
+
+def split_rows(
+    d: Dataset, spec: SplitSpec, stream: int = SPLIT_STREAM
+) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted train and test row indices of ``split(d, spec, stream)``,
+    for a caller that needs only one side's rows."""
     rng = substream(spec.seed, stream)
     class_sizes = np.bincount(d.target, minlength=d.n_classes)
     if class_sizes.min() < 2:
@@ -376,4 +385,4 @@ def split(d: Dataset, spec: SplitSpec, stream: int = SPLIT_STREAM) -> tuple[Data
     mask = np.zeros(d.n_rows, dtype=bool)
     mask[test_idx] = True
     train_idx = np.flatnonzero(~mask)
-    return d.subset(train_idx), d.subset(test_idx)
+    return train_idx, test_idx

@@ -13,6 +13,8 @@ positive after orienting values so that larger means better.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +36,13 @@ __all__ = [
 ]
 
 _MAGNITUDE_BANDS = ((0.147, "negligible"), (0.333, "small"), (0.474, "medium"))
+
+# Numerics of the survival functions behind the p-values.
+_SERIES_RESCALE = 2.0**512
+_LOG_SERIES_RESCALE = 512 * math.log(2.0)
+_LGAMMA_HALF = math.lgamma(0.5)
+_CF_MAX_TERMS = 10_000
+_CF_TINY = 1e-300
 
 # Replicates drawn per block in bootstrap_ci. Part of the stream contract:
 # changing it changes every interval.
@@ -123,9 +132,7 @@ def friedman(m: RunMatrix) -> tuple[float, float]:
     _, a2, c2, t1 = _rank_terms(m.values)
     if a2 == c2:
         return 0.0, 1.0
-    from scipy.special import chdtrc  # chi2.sf(x, df); loaded only when needed
-
-    return t1, float(chdtrc(k - 1, t1))
+    return t1, _chi2_sf(k - 1, t1)
 
 
 def conover_posthoc(m: RunMatrix) -> np.ndarray:
@@ -142,8 +149,6 @@ def conover_posthoc(m: RunMatrix) -> np.ndarray:
     out = np.ones((k, k))
     if a2 == c2:
         return out
-    from scipy.special import stdtr  # t.sf(x, df) = stdtr(df, -x)
-
     spread = max(0.0, 1.0 - t1 / (n * (k - 1)))
     se2 = 2.0 * n * (a2 - c2) * spread / df
     for i in range(k):
@@ -152,9 +157,105 @@ def conover_posthoc(m: RunMatrix) -> np.ndarray:
             if se2 <= 0.0:
                 p = 0.0 if diff > 0.0 else 1.0
             else:
-                p = 2.0 * float(stdtr(df, -(diff / np.sqrt(se2))))
+                p = 2.0 * _t_sf(df, diff / math.sqrt(se2))
             out[i, j] = out[j, i] = min(1.0, p)
     return out
+
+
+def _chi2_sf(df: int, x: float) -> float:
+    """P(X > x) for a chi-squared X with integer df >= 1 (Abramowitz &
+    Stegun 26.4.4 and 26.4.21).
+
+    Even df: the Poisson sum e^-h (1 + h + ... + h^(df/2-1)/(df/2-1)!) at
+    h = x/2. Odd df: erfc(sqrt h) + 2 sqrt(h/pi) e^-h (1 + x/3 + x^2/(3*5)
+    + ...) with (df-1)/2 terms. The factor e^-h joins the series in log
+    space, so a large x gives a small p (or 0.0) instead of 0 * inf. Near
+    x = 0 rounding can lift the sum past 1, hence the clamp.
+    """
+    if x <= 0.0:
+        return 1.0
+    h = 0.5 * x
+    if df % 2 == 0:
+        p = math.exp(_log_series(h / i for i in range(1, df // 2)) - h)
+    elif df == 1:
+        p = math.erfc(math.sqrt(h))
+    else:
+        log_series = _log_series(x / (2 * r + 1) for r in range(1, (df - 1) // 2))
+        p = math.erfc(math.sqrt(h)) + math.exp(
+            log_series + 0.5 * math.log(4.0 * h / math.pi) - h
+        )
+    return min(1.0, p)
+
+
+def _log_series(ratios) -> float:
+    """log(1 + r1 + r1 r2 + r1 r2 r3 + ...) over the given term ratios.
+
+    Partial sums are scaled down by exact powers of two before they can
+    overflow."""
+    term = total = 1.0
+    shift = 0
+    for r in ratios:
+        term *= r
+        total += term
+        if total > _SERIES_RESCALE:
+            term /= _SERIES_RESCALE
+            total /= _SERIES_RESCALE
+            shift += 1
+    return math.log(total) + shift * _LOG_SERIES_RESCALE
+
+
+def _t_sf(df: int, t: float) -> float:
+    """P(T > t) for a Student t with integer df >= 1 and t >= 0.
+
+    Equals 0.5 * I_x(df/2, 1/2), the regularized incomplete beta at
+    x = df / (df + t^2). The prefactor x^a (1-x)^(1/2) is formed from
+    log1p(t^2/df) and log1p(df/t^2), never from 1 - x, which rounds to 0
+    for small t: so p stays exact to rounding as t -> 0.
+    """
+    if t == 0.0:
+        return 0.5
+    a = 0.5 * df
+    t2 = t * t
+    log_front = (
+        math.lgamma(a + 0.5) - math.lgamma(a) - _LGAMMA_HALF
+        - a * math.log1p(t2 / df) - 0.5 * math.log1p(df / t2)
+    )  # log(x^a (1-x)^(1/2) / B(a, 1/2))
+    front = math.exp(log_front)
+    x = df / (df + t2)
+    if x < (a + 1.0) / (a + 2.5):
+        return 0.5 * front * _beta_cf(a, 0.5, x) / a
+    return 0.5 - front * _beta_cf(0.5, a, t2 / (df + t2))
+
+
+def _beta_cf(a: float, b: float, x: float) -> float:
+    """Continued fraction of the incomplete beta I_x(a, b), evaluated by
+    the modified Lentz method (Numerical Recipes, 3rd ed., 6.4 `betacf`).
+
+    It converges fast for x < (a+1)/(a+b+2), in O(sqrt(max(a, b)))
+    terms; the term cap is far beyond that."""
+    qab, qap, qam = a + b, a + 1.0, a - 1.0
+    c = 1.0
+    d = 1.0 / _nonzero(1.0 - qab * x / qap)
+    h = d
+    for m in range(1, _CF_MAX_TERMS):
+        m2 = 2 * m
+        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
+        d = 1.0 / _nonzero(1.0 + aa * d)
+        c = _nonzero(1.0 + aa / c)
+        h *= d * c
+        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        d = 1.0 / _nonzero(1.0 + aa * d)
+        c = _nonzero(1.0 + aa / c)
+        step = d * c
+        h *= step
+        if abs(step - 1.0) <= sys.float_info.epsilon:
+            break
+    return h
+
+
+def _nonzero(v: float) -> float:
+    """Lentz's guard: a vanishing partial denominator becomes tiny."""
+    return v if abs(v) >= _CF_TINY else _CF_TINY
 
 
 def adjust(pvals, method: str) -> list[float]:

@@ -87,7 +87,7 @@ class TestRunConfig:
         doc = {"input": "a.csv", "target": "y", "workers": 4, "format_version": 1}
         rc = RunConfig.from_dict(doc)
         assert rc == RunConfig(input="a.csv", target="y")
-        assert rc.format_version == FORMAT_VERSION == 3
+        assert rc.format_version == FORMAT_VERSION == 4
 
     def test_format_2_config_reads_as_current(self):
         rc = RunConfig.from_dict({"input": "a.csv", "target": "y", "format_version": 2})
@@ -117,6 +117,24 @@ class TestStartup:
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                              capture_output=True, text=True, timeout=120).stdout
         assert out.strip() == "[]"
+
+    def test_stats_runs_without_scipy(self, tmp_path):
+        write_matrix_csv(tmp_path / "acc.csv", {
+            "ours": [0.9, 0.8, 0.85, 0.7], "base": [0.6, 0.7, 0.5, 0.65],
+            "other": [0.6, 0.75, 0.55, 0.6],
+        })
+        argv = ["stats", "--matrix", f"acc={tmp_path / 'acc.csv'}",
+                "--benchmark", "base", "--bootstrap", "200", "--out", str(tmp_path)]
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        code = ("import sys; from spfp.cli import main; rc = main(sys.argv[1:]); "
+                "print(sorted(m for m in sys.modules if m.startswith('scipy'))); "
+                "sys.exit(rc)")
+        done = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "[]"
+        assert (tmp_path / "verdicts.json").exists()
 
 
 class TestPartitionCommand:
@@ -223,16 +241,17 @@ class TestPartitionCommand:
         assert "workers" not in config
         assert config["format_version"] == FORMAT_VERSION
 
-    def test_format_2_views_file_runs_evaluate_and_diagnose(self, partitioned):
+    @pytest.mark.parametrize("version", [2, 3])
+    def test_older_views_file_runs_evaluate_and_diagnose(self, partitioned, version):
         tmp_path, _ = partitioned
         doc = read_json(tmp_path / "views.json")
-        doc["format_version"] = doc["config"]["format_version"] = 2
+        doc["format_version"] = doc["config"]["format_version"] = version
         (tmp_path / "views.json").write_text(json.dumps(doc))
         assert main(["evaluate", "--out", str(tmp_path)]) == 0
         assert main(["diagnose", "--out", str(tmp_path)]) == 0
         for name in ("metrics.json", "independence.json"):
             written = read_json(tmp_path / name)
-            assert written["format_version"] == written["config"]["format_version"] == 3
+            assert written["format_version"] == written["config"]["format_version"] == 4
 
     def test_bad_discretizer_choice_exits_2(self, workdir, capsys):
         tmp_path, csv_path = workdir
@@ -440,6 +459,23 @@ class TestImportProba:
         assert rc == 3
         assert "theta_1.csv row 3: non-finite probability" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cell,message", [
+        (b"\xff", "not UTF-8 text"),
+        (b"5" * (csv.field_size_limit() + 1), "field larger than field limit"),
+    ], ids=["not_utf8", "field_over_the_csv_limit"])
+    def test_unreadable_file_exits_3(self, proba_dir, capsys, cell, message):
+        tmp_path, pdir, _ = proba_dir
+        path = pdir / "theta_1.csv"
+        rows = path.read_bytes().splitlines()
+        rows[4] = b"3,0.5," + cell
+        path.write_bytes(b"\n".join(rows) + b"\n")
+        rc = main(["evaluate", "--out", str(tmp_path),
+                   "--import-proba", str(pdir)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert f"{path}: {message}" in err
+        assert "internal error" not in err
+
     def test_bad_header_exits_3(self, proba_dir, capsys):
         tmp_path, pdir, n_test = proba_dir
         rows = (pdir / "theta_2.csv").read_text().splitlines()
@@ -502,8 +538,8 @@ class TestDiagnoseCommand:
 
 class TestViewsFileIndices:
     @pytest.mark.parametrize("command", ["evaluate", "diagnose"])
-    @pytest.mark.parametrize("indices", [[-1, 0], [0, 99], [0.5, 1], [], [True, 1]],
-                             ids=["negative", "past_end", "float", "empty", "bool"])
+    @pytest.mark.parametrize("indices", [[-1, 0], [0, 99], [0.5, 1], [], [True, 1], [0, 0]],
+                             ids=["negative", "past_end", "float", "empty", "bool", "repeat"])
     def test_bad_indices_exit_3(self, partitioned, capsys, command, indices):
         tmp_path, _ = partitioned
         views_path = tmp_path / "views.json"
@@ -691,6 +727,27 @@ class TestStatsCommand:
                 "--out", str(tmp_path)]
         assert main(argv) == 3
         assert ">= 2 run rows" in capsys.readouterr().err
+
+    def test_matrix_not_utf8_exits_3(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"a,b\n1.0,2.0\n1.0,\xff\n")
+        argv = ["stats", "--matrix", f"m={bad}", "--benchmark", "a",
+                "--out", str(tmp_path)]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert f"{bad}: not UTF-8 text" in err
+        assert "internal error" not in err
+
+    def test_matrix_field_over_the_csv_limit_exits_3(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("a,b\n1.0,2.0\n1.0," + "2" * (csv.field_size_limit() + 1) + "\n",
+                       encoding="utf-8")
+        argv = ["stats", "--matrix", f"m={bad}", "--benchmark", "a",
+                "--out", str(tmp_path)]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert f"{bad}: field larger than field limit" in err
+        assert "internal error" not in err
 
     def test_non_numeric_cell_exits_3(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from spfp import dataset
-from spfp.dataset import Dataset, SplitSpec, discretize, load_csv, split
+from spfp.dataset import Dataset, SplitSpec, discretize, load_csv, split, split_rows
 from spfp.errors import ConfigError, DataError
 
 
@@ -323,6 +323,15 @@ class TestSplit:
         assert a_test.target.tolist() == b_test.target.tolist()
         c_train, c_test = split(d, SplitSpec(0.33, seed=43))
         assert not np.array_equal(a_test.features, c_test.features)
+
+    def test_split_rows_are_the_rows_split_takes(self):
+        rng = np.random.default_rng(4)
+        d = make_dataset(rng.normal(size=(40, 2)), rng.integers(0, 3, size=40))
+        train_idx, test_idx = split_rows(d, SplitSpec(0.3, seed=5), stream=7)
+        train, test = split(d, SplitSpec(0.3, seed=5), stream=7)
+        assert np.array_equal(d.features[train_idx], train.features)
+        assert np.array_equal(d.features[test_idx], test.features)
+        assert np.array_equal(np.sort(np.concatenate([train_idx, test_idx])), np.arange(40))
 
     def test_tiny_classes_one_each_side(self):
         d = make_dataset(np.arange(12.0).reshape(6, 2), [0, 0, 1, 1, 2, 2])

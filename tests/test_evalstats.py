@@ -1,8 +1,10 @@
 """Rank-based comparison machinery: Friedman, Conover, adjustments, effects.
 
-The survival functions bought from scipy are validated here against exact
-closed forms (chi-squared at df 1/2/4, Student t at df 1/2), which is what
-licenses using them inside the statistic-to-p mappings.
+The in-package survival functions behind the p-values are validated here
+against exact closed forms (chi-squared at df 1/2/4, Student t at df 1/2)
+and against scipy's ``chdtrc`` / ``stdtr`` over a grid of degrees of
+freedom and statistics, which is what licenses using them inside the
+statistic-to-p mappings.
 """
 
 import math
@@ -11,7 +13,8 @@ import tracemalloc
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.stats import chi2, friedmanchisquare, rankdata
+from scipy.special import chdtrc, stdtr
+from scipy.stats import friedmanchisquare, rankdata
 from scipy.stats import t as student_t
 
 from spfp.errors import ConfigError, DataError
@@ -26,7 +29,7 @@ from spfp.evalstats import (
     midranks,
     win_tie_loss,
 )
-from spfp.evalstats import _magnitude
+from spfp.evalstats import _chi2_sf, _magnitude, _t_sf
 from spfp.seeding import BOOTSTRAP_STREAM, substream
 
 
@@ -63,16 +66,57 @@ class TestSurvivalFunctionAccuracy:
 
     @pytest.mark.parametrize("x", [0.5, 1.0, 3.84, 10.0, 20.0])
     def test_chi2_closed_forms(self, x):
-        assert_allclose(chi2.sf(x, 2), math.exp(-x / 2), rtol=1e-12)
-        assert_allclose(chi2.sf(x, 1), math.erfc(math.sqrt(x / 2)), rtol=1e-12)
-        assert_allclose(chi2.sf(x, 4), math.exp(-x / 2) * (1 + x / 2), rtol=1e-12)
+        assert_allclose(_chi2_sf(2, x), math.exp(-x / 2), rtol=1e-12)
+        assert_allclose(_chi2_sf(1, x), math.erfc(math.sqrt(x / 2)), rtol=1e-12)
+        assert_allclose(_chi2_sf(4, x), math.exp(-x / 2) * (1 + x / 2), rtol=1e-12)
 
-    @pytest.mark.parametrize("x", [0.1, 0.5, 1.0, 2.5, 7.0])
+    # The points below 1e-3 are where scipy's stdtr loses digits
+    # (stdtr(1, -1e-8) is off by 3.1e-9 relative); the closed forms are exact.
+    @pytest.mark.parametrize("x", [0.1, 0.5, 1.0, 2.5, 7.0, 1e-8, 1e-6, 1e-4])
     def test_t_closed_forms(self, x):
-        assert_allclose(student_t.sf(x, 1), 0.5 - math.atan(x) / math.pi, rtol=1e-12)
-        assert_allclose(
-            student_t.sf(x, 2), 0.5 * (1 - x / math.sqrt(2 + x * x)), rtol=1e-12
-        )
+        assert_allclose(_t_sf(1, x), 0.5 - math.atan(x) / math.pi, rtol=1e-12)
+        assert_allclose(_t_sf(2, x), 0.5 * (1 - x / math.sqrt(2 + x * x)), rtol=1e-12)
+
+    def test_zero_statistic(self):
+        assert _chi2_sf(3, 0.0) == 1.0
+        assert _t_sf(7, 0.0) == 0.5
+
+
+class TestSurvivalFunctionGrid:
+    """The survival functions against scipy at rtol 1e-10. Values below
+    1e-300 are compared absolutely: there the float format itself holds
+    fewer than 10 significant digits."""
+
+    def test_chi2_matches_chdtrc(self):
+        xs = np.concatenate([[0.0], np.geomspace(1e-3, 1500.0, 120), np.arange(1.0, 1501.0, 37.0)])
+        for df in range(1, 100):
+            got = np.array([_chi2_sf(df, float(x)) for x in xs])
+            assert ((got >= 0.0) & (got <= 1.0)).all(), df
+            assert_allclose(got, chdtrc(df, xs), rtol=1e-10, atol=1e-300, err_msg=f"df={df}")
+
+    def test_t_matches_stdtr(self):
+        ts = np.geomspace(1e-3, 1e5, 60)
+        dfs = sorted(set(range(1, 41)) | {int(d) for d in np.geomspace(41, 2000, 40)})
+        assert dfs[-1] == 2000
+        for df in dfs:
+            got = np.array([_t_sf(df, float(t)) for t in ts])
+            assert ((got >= 0.0) & (got <= 0.5)).all(), df
+            assert_allclose(got, stdtr(df, -ts), rtol=1e-10, atol=1e-300, err_msg=f"df={df}")
+
+    @pytest.mark.parametrize("sf,df,stat", [
+        (_chi2_sf, 2, 1e5),
+        (_chi2_sf, 3, 1e6),
+        (_chi2_sf, 99, 1e7),
+        (_t_sf, 2000, 1e5),
+        (_t_sf, 1, 1e200),  # t*t overflows to inf
+    ], ids=["chi2_df2", "chi2_df3", "chi2_df99", "t_df2000", "t_squared_inf"])
+    def test_underflow_is_zero(self, sf, df, stat):
+        assert sf(df, stat) == 0.0
+
+    @pytest.mark.parametrize("df", [800, 801])
+    def test_series_past_float_range(self, df):
+        # the series sums to about 1e331 before e^-1000 brings p to 1e-103
+        assert_allclose(_chi2_sf(df, 2000.0), chdtrc(df, 2000.0), rtol=1e-10)
 
 
 class TestMidranks:
@@ -124,7 +168,7 @@ class TestFriedman:
         rng = np.random.default_rng(seed)
         values = np.round(rng.normal(size=(10, 4)), 1)
         stat, p = friedman(RunMatrix(values, list("abcd")))
-        assert p == float(chi2.sf(stat, 3))
+        assert p == _chi2_sf(3, stat)
 
     def test_tie_corrected_hand_example(self):
         # ranks: block 1 -> (1.5, 1.5, 3), block 2 -> (1, 2, 3)
@@ -193,8 +237,8 @@ class TestConoverPosthoc:
         se2 = 2.0 * n * (a2 - c2) * max(0.0, 1.0 - t1 / (n * (k - 1))) / df
         for i in range(k):
             for j in range(i + 1, k):
-                t_stat = abs(float(sums[i] - sums[j])) / np.sqrt(se2)
-                assert got[i, j] == min(1.0, 2.0 * float(student_t.sf(t_stat, df)))
+                t_stat = abs(float(sums[i] - sums[j])) / math.sqrt(se2)
+                assert got[i, j] == min(1.0, 2.0 * _t_sf(df, t_stat))
 
     def test_symmetry_exact(self):
         rng = np.random.default_rng(3)
