@@ -50,6 +50,9 @@ FORMAT_VERSION = 4
 EXIT_OK, EXIT_CONFIG, EXIT_DATA, EXIT_INTERNAL = 0, 2, 3, 4
 
 
+_JSON_TYPES = {"str": str, "int": int, "float": (int, float)}  # by RunConfig annotation
+
+
 @dataclass
 class RunConfig:
     """Everything a run needs, persisted inside every artifact.
@@ -82,6 +85,17 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
+        for f in fields(cls):
+            value = doc.get(f.name)
+            # a float field takes an int (--min-count writes one); none takes a
+            # bool, nor NaN or infinity, which the artifacts cannot hold
+            if f.name in doc and (
+                type(value) is bool
+                or not isinstance(value, _JSON_TYPES[f.type])
+                or (isinstance(value, float) and not math.isfinite(value))
+            ):
+                kind = "a finite float" if f.type == "float" else f.type
+                raise ConfigError(f"config key {f.name!r} must be {kind}, got {value!r}")
         version = doc.get("format_version", 1)
         if version < 2:
             # Format 1 carried the thread count of a since-removed pool;
@@ -178,8 +192,10 @@ def _read_views_doc(path: Path) -> tuple[dict, RunConfig]:
         doc = json.loads(path.read_text(encoding="utf-8"))
     except ValueError as exc:
         raise DataError(f"views file is not valid JSON: {exc}") from exc
-    if "config" not in doc or "views" not in doc:
+    if not isinstance(doc, dict) or "config" not in doc or "views" not in doc:
         raise DataError(f"views file {path} lacks config/views")
+    if not isinstance(doc["config"], dict) or not isinstance(doc["views"], list):
+        raise DataError(f"views file {path}: config must be an object and views a list")
     return doc, RunConfig.from_dict(doc["config"])
 
 
@@ -363,9 +379,10 @@ def cmd_evaluate(args) -> int:
     views_path = _views_doc_path(args)
     doc, rc = _read_views_doc(views_path)
     rc.out = args.out
+    source = "holdout_fraction"
     if args.holdout_frac is not None:
-        _require_range("--holdout-frac", args.holdout_frac, 0.0, 1.0, open_ends=True)
-        rc.holdout_fraction = args.holdout_frac
+        source, rc.holdout_fraction = "--holdout-frac", args.holdout_frac
+    _require_range(source, rc.holdout_fraction, 0.0, 1.0, open_ends=True)
 
     started = time.time()
     t0 = time.perf_counter()
@@ -380,11 +397,11 @@ def cmd_evaluate(args) -> int:
     member_auc: list[float] = []
     ensembles_meta: dict[str, dict] = {}
     training: dict[str, dict] = {}  # built-in models only
+    test_probas: list[np.ndarray] = []  # the ensemble members
 
     if args.import_proba:
         proba_dir = Path(args.import_proba)
         weighting = {"source": "imported_test"}
-        test_probas = []
         for g in range(n_views):
             name = _model_name(g)
             tm = time.perf_counter()
@@ -396,11 +413,6 @@ def cmd_evaluate(args) -> int:
             elapsed[name] = time.perf_counter() - tm
             reports[name] = report
             member_auc.append(report.auc)
-        models = [
-            ProbModel(kind="imported", n_classes=n_classes, proba=p)
-            for p in test_probas
-        ]
-        rows_for_predict = None
         all_path = proba_dir / "All.csv"
         if all_path.exists():
             tm = time.perf_counter()
@@ -418,7 +430,6 @@ def cmd_evaluate(args) -> int:
             train, SplitSpec(rc.holdout_fraction, rc.seed), stream=HOLDOUT_STREAM
         )
         del train  # training reads the inner split and the holdout
-        models = []
         for g, ids in enumerate(view_ids):
             name = _model_name(g)
             tm = time.perf_counter()
@@ -428,16 +439,16 @@ def cmd_evaluate(args) -> int:
                 l2=rc.l2,
                 max_iters=rc.max_iters,
                 tol=rc.opt_tol,
-                feature_ids=ids,
                 n_classes=n_classes,
             )
-            auc_g = metrics(predict_proba(model, holdout.features), holdout.target).auc
-            proba = predict_proba(model, test.features)
+            auc_g = metrics(predict_proba(model, holdout.features[:, ids]), holdout.target).auc
+            proba = predict_proba(model, test.features[:, ids])
             elapsed[name] = time.perf_counter() - tm
             training[name] = _training_summary(model, rc.max_iters)
-            models.append(model)
+            test_probas.append(proba)
             member_auc.append(auc_g)
             reports[name] = metrics(proba, test.target)
+        del holdout  # `All` is scored on the test rows only
         tm = time.perf_counter()
         all_model = train_builtin(
             inner_train.features,
@@ -450,12 +461,11 @@ def cmd_evaluate(args) -> int:
         reports["All"] = metrics(predict_proba(all_model, test.features), test.target)
         elapsed["All"] = time.perf_counter() - tm
         training["All"] = _training_summary(all_model, rc.max_iters)
-        rows_for_predict = test.features
 
     for k in range(2, n_views + 1):
         name = f"E_1:{k}"
         tm = time.perf_counter()
-        proba = ensemble_predict(models[:k], member_auc[:k], rows_for_predict)
+        proba = ensemble_predict(test_probas[:k], member_auc[:k])
         reports[name] = metrics(proba, test.target)
         elapsed[name] = time.perf_counter() - tm
         kept, weights = normalized_weights(member_auc[:k])

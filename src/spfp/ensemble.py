@@ -5,7 +5,8 @@ The builtin model is a deliberately plain multinomial logistic regression:
 zero-initialized, full-batch gradient descent with a fixed step from the
 curvature bound, features standardized with training statistics. It exists
 to make the pipeline self-contained; externally produced probability
-matrices can be imported instead.
+matrices can be imported instead. An ensemble reads only its members'
+probability matrices, so both kinds of member combine the same way.
 
 All information quantities (log-loss, row entropies) are in bits.
 """
@@ -13,7 +14,7 @@ All information quantities (log-loss, row entropies) are in bits.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,15 +36,13 @@ _PROB_CLAMP = 1e-15
 
 @dataclass
 class ProbModel:
-    kind: str  # "builtin_logistic" | "imported"
-    n_classes: int
-    feature_ids: list[int] = field(default_factory=list)
-    weights: np.ndarray | None = None  # (1 + features, classes); row 0 is bias
-    mean: np.ndarray | None = None
-    scale: np.ndarray | None = None
-    iterations: int = 0
-    final_loss: float = 0.0  # training log-loss in bits, penalty excluded
-    proba: np.ndarray | None = None  # imported predictions
+    """The builtin model, fitted to the columns it was trained on."""
+
+    weights: np.ndarray  # (1 + features, classes); row 0 is bias
+    mean: np.ndarray
+    scale: np.ndarray
+    iterations: int
+    final_loss: float  # training log-loss in bits, penalty excluded
 
 
 @dataclass
@@ -110,6 +109,18 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     return z
 
 
+def _design(X: np.ndarray, mean: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """``np.hstack([ones, (X - mean) / scale])`` without a full-size
+    temporary, in the memory order hstack gives a contiguous X (BLAS sums
+    the products of the two layouts in different orders)."""
+    order = "F" if np.isfortran(X) else "C"
+    xb = np.empty((X.shape[0], X.shape[1] + 1), order=order)
+    xb[:, 0] = 1.0
+    np.subtract(X, mean, out=xb[:, 1:])
+    xb[:, 1:] /= scale
+    return xb
+
+
 def train_builtin(
     X: np.ndarray,
     y: np.ndarray,
@@ -117,7 +128,6 @@ def train_builtin(
     l2: float = 1e-4,
     max_iters: int = 500,
     tol: float = 1e-6,
-    feature_ids=None,
     n_classes: int | None = None,
 ) -> ProbModel:
     """Fit the baseline classifier on an already-column-restricted matrix.
@@ -143,7 +153,7 @@ def train_builtin(
     mean = X.mean(axis=0)
     scale = X.std(axis=0)
     scale[scale == 0.0] = 1.0
-    xb = np.hstack([np.ones((n, 1)), (X - mean) / scale])
+    xb = _design(X, mean, scale)
 
     lip = 0.5 * float(np.linalg.eigvalsh(xb.T @ xb)[-1]) / n + l2
     lr = 1.0 / lip
@@ -171,47 +181,19 @@ def train_builtin(
     p = _softmax(np.matmul(xb, w, out=z))
     p_true = np.clip(p[np.arange(n), y], _PROB_CLAMP, 1.0 - _PROB_CLAMP)
     final_loss = float(-np.log2(p_true).mean())
-    ids = list(feature_ids) if feature_ids is not None else list(range(d))
     return ProbModel(
-        kind="builtin_logistic",
-        n_classes=n_cls,
-        feature_ids=ids,
-        weights=w,
-        mean=mean,
-        scale=scale,
-        iterations=iterations,
-        final_loss=final_loss,
+        weights=w, mean=mean, scale=scale, iterations=iterations, final_loss=final_loss
     )
 
 
-def predict_proba(model: ProbModel, X: np.ndarray | None = None) -> np.ndarray:
-    """Class probabilities for X, either already restricted to the model's
-    columns or the full feature table (sliced via feature_ids).
-
-    Imported models carry their probabilities; X is then only checked for
-    row-count agreement.
-    """
-    if model.kind == "imported":
-        if model.proba is None:
-            raise DataError("imported model has no probabilities")
-        if X is not None and X.shape[0] != model.proba.shape[0]:
-            raise DataError("imported probabilities do not match the row count")
-        return model.proba
-    if X is None:
-        raise DataError("builtin model needs a feature matrix")
+def predict_proba(model: ProbModel, X: np.ndarray) -> np.ndarray:
+    """Class probabilities for the rows of X, which holds exactly the
+    model's training columns in their training order."""
     X = np.asarray(X, dtype=np.float64)
     d = model.mean.shape[0]
     if X.shape[1] != d:
-        # a wider matrix is taken as the full feature table and sliced down
-        ids = model.feature_ids
-        if len(ids) == d and ids and max(ids) < X.shape[1]:
-            X = X[:, ids]
-        else:
-            raise DataError(
-                f"expected {d} feature columns, got {X.shape[1]}"
-            )
-    xb = np.hstack([np.ones((X.shape[0], 1)), (X - model.mean) / model.scale])
-    return _softmax(xb @ model.weights)
+        raise DataError(f"expected {d} feature columns, got {X.shape[1]}")
+    return _softmax(_design(X, model.mean, model.scale) @ model.weights)
 
 
 def normalized_weights(member_aucs) -> tuple[list[int], np.ndarray]:
@@ -235,21 +217,21 @@ def normalized_weights(member_aucs) -> tuple[list[int], np.ndarray]:
     return kept, w / w.sum()
 
 
-def ensemble_predict(models, member_aucs, rows: np.ndarray | None = None) -> np.ndarray:
-    """Normalized-AUC weighted average of the members' probability rows."""
-    models = list(models)
-    if not models:
+def ensemble_predict(probas, member_aucs) -> np.ndarray:
+    """Normalized-AUC weighted average of the members' probability
+    matrices, one matrix per AUC, all of one shape."""
+    probas = list(probas)
+    if not probas:
         raise ConfigError("empty member list")
-    if len(models) != len(member_aucs):
+    if len(probas) != len(member_aucs):
         raise ConfigError("one AUC per model required")
-    n_cls = models[0].n_classes
-    if any(m.n_classes != n_cls for m in models):
-        raise DataError("ensemble members disagree on the class set")
+    shapes = {np.shape(p) for p in probas}
+    if len(shapes) > 1:
+        raise DataError(f"ensemble members differ in shape: {sorted(shapes)}")
     kept, weights = normalized_weights(member_aucs)
     out = None
     for w, i in zip(weights, kept):
-        p = predict_proba(models[i], rows)
-        out = w * p if out is None else out + w * p
+        out = w * probas[i] if out is None else out + w * probas[i]
     return out
 
 

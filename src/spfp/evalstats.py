@@ -372,6 +372,8 @@ def win_tie_loss(
         raise ConfigError("no metric matrices given")
     if not 0.0 < alpha < 1.0:
         raise ConfigError("alpha must be in (0,1)")
+    if seed < 0:
+        raise ConfigError("seed must be non-negative")
     metric_names = list(matrices)
     for name in metric_names:
         if benchmark not in matrices[name].treatment_names:

@@ -17,6 +17,8 @@ import pytest
 
 from spfp import evalstats
 from spfp.cli import FORMAT_VERSION, RunConfig, _write_json, main
+from spfp.dataset import SplitSpec, load_csv, split
+from spfp.ensemble import metrics
 from spfp.evalstats import friedman
 from spfp.errors import ConfigError
 
@@ -101,6 +103,20 @@ class TestRunConfig:
     def test_removed_discretizer_alias_reads_as_equal_frequency(self):
         doc = {"input": "a.csv", "target": "y", "discretizer": "passthrough_if_integral"}
         assert RunConfig.from_dict(doc) == RunConfig(input="a.csv", target="y")
+
+    def test_float_field_takes_an_int(self):
+        rc = RunConfig.from_dict({"input": "a.csv", "target": "y", "min_features": 3})
+        assert rc.min_features == 3
+
+    @pytest.mark.parametrize("key,value", [
+        ("max_iters", "500"), ("seed", True), ("min_features", False),
+        ("format_version", "4"), ("input", 3), ("l2", None),
+        ("l2", math.nan), ("entropy_tolerance", math.inf),
+    ])
+    def test_wrong_value_type_rejected(self, key, value):
+        doc = {"input": "a.csv", "target": "y", key: value}
+        with pytest.raises(ConfigError, match=f"config key '{key}' must be"):
+            RunConfig.from_dict(doc)
 
 
 class TestJsonOutput:
@@ -334,6 +350,16 @@ class TestEvaluateCommand:
         assert rc == 2
         assert "--holdout-frac" in capsys.readouterr().err
 
+    def test_holdout_fraction_from_views_file_out_of_range_exits_2(self, partitioned, capsys):
+        tmp_path, _ = partitioned
+        doc = read_json(tmp_path / "views.json")
+        doc["config"]["holdout_fraction"] = 1.5
+        (tmp_path / "views.json").write_text(json.dumps(doc))
+        assert main(["evaluate", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "holdout_fraction must be in (0.0, 1.0), got 1.5" in err
+        assert "test_fraction" not in err
+
     def test_single_view_has_no_ensembles(self, workdir):
         tmp_path, csv_path = workdir
         assert main(partition_argv(csv_path, tmp_path,
@@ -424,6 +450,20 @@ class TestImportProba:
         err = capsys.readouterr().err
         assert "no All.csv" not in err
         assert "warning" not in err
+
+    def test_ensemble_is_the_auc_weighted_average(self, proba_dir):
+        tmp_path, pdir, _ = proba_dir
+        assert main(["evaluate", "--out", str(tmp_path),
+                     "--import-proba", str(pdir)]) == 0
+        doc = read_json(tmp_path / "metrics.json")
+        rc = RunConfig.from_dict(doc["config"])
+        _, test = split(load_csv(rc.input, rc.target), SplitSpec(rc.test_fraction, rc.seed))
+        probas = [np.loadtxt(pdir / f"{name}.csv", delimiter=",", skiprows=1)[:, 1:]
+                  for name in ("theta_1", "theta_2")]
+        aucs = np.array([doc["member_auc"]["theta_1"], doc["member_auc"]["theta_2"]])
+        w = aucs / aucs.sum()
+        expected = metrics(w[0] * probas[0] + w[1] * probas[1], test.target)
+        assert doc["models"]["E_1:2"] == expected.to_dict()
 
     def test_missing_benchmark_file_is_skipped(self, proba_dir, capsys):
         tmp_path, pdir, _ = proba_dir
@@ -560,6 +600,39 @@ class TestViewsFileIndices:
         views_path.write_text(json.dumps(doc), encoding="utf-8")
         assert main([command, "--out", str(tmp_path)]) == 3
         assert "view 2 in the views file has no features.indices" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["evaluate", "diagnose"])
+    @pytest.mark.parametrize("edit,message", [
+        (lambda doc: [doc], "lacks config/views"),
+        (lambda doc: {**doc, "views": 5}, "config must be an object and views a list"),
+        (lambda doc: {**doc, "config": []}, "config must be an object and views a list"),
+    ], ids=["list_document", "views_int", "config_list"])
+    def test_wrong_document_shape_exits_3(self, partitioned, capsys, command, edit, message):
+        tmp_path, _ = partitioned
+        views_path = tmp_path / "views.json"
+        views_path.write_text(json.dumps(edit(read_json(views_path))), encoding="utf-8")
+        assert main([command, "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert message in err
+        assert "internal error" not in err
+
+    @pytest.mark.parametrize("command", ["evaluate", "diagnose"])
+    @pytest.mark.parametrize("key,value,message", [
+        ("max_iters", "500", "must be int, got '500'"),
+        ("bins", "10", "must be int, got '10'"),
+        ("l2", math.nan, "must be a finite float, got nan"),
+    ])
+    def test_wrong_config_value_type_exits_2(self, partitioned, capsys, command, key, value,
+                                             message):
+        tmp_path, _ = partitioned
+        views_path = tmp_path / "views.json"
+        doc = read_json(views_path)
+        doc["config"][key] = value
+        views_path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main([command, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"config key '{key}' {message}" in err
+        assert "internal error" not in err
 
 
 
@@ -764,3 +837,11 @@ class TestStatsCommand:
     def test_low_bootstrap_count_exits_2(self, matrices):
         tmp_path = matrices
         assert main(self.stats_argv(tmp_path, **{"--bootstrap": "10"})) == 2
+
+    def test_negative_seed_exits_2(self, matrices, capsys):
+        tmp_path = matrices
+        assert main(self.stats_argv(tmp_path, **{"--seed": "-1"})) == 2
+        err = capsys.readouterr().err
+        assert "seed must be non-negative" in err
+        assert "internal error" not in err
+        assert not (tmp_path / "verdicts.json").exists()

@@ -11,7 +11,6 @@ from numpy.testing import assert_allclose
 
 from spfp.ensemble import (
     MetricReport,
-    ProbModel,
     _softmax,
     ensemble_predict,
     metrics,
@@ -31,8 +30,7 @@ def separable_toy(n=60, seed=0):
 
 
 def imported(proba):
-    proba = np.asarray(proba, dtype=np.float64)
-    return ProbModel(kind="imported", n_classes=proba.shape[1], proba=proba)
+    return np.asarray(proba, dtype=np.float64)
 
 
 def penalized_nll(w_flat, xb, y, l2, n_cls):
@@ -126,6 +124,14 @@ class TestTrainMatchesReference:
     @pytest.mark.parametrize("d", [1, 15, 150])
     def test_classes_and_widths(self, k, d):
         self.assert_same(*oracle_data(300, d, k, seed=10 * k + d, separation=0.5), max_iters=60)
+
+    @pytest.mark.parametrize("k", [3, 10])
+    def test_column_selection_of_a_table(self, k):
+        # the views' matrices: column-major, as a column selection is
+        X, y = oracle_data(300, 40, k, seed=k, separation=0.5)
+        view = X[:, [3, 1, 4, 15, 9, 26, 5, 35, 8, 37, 12, 30, 7, 29, 33]]
+        assert np.isfortran(view)
+        self.assert_same(view, y, max_iters=60)
 
     def test_constant_column(self):
         X, y = oracle_data(200, 6, 3, seed=1, separation=1.0)
@@ -261,14 +267,6 @@ class TestPredictProba:
         assert proba.min() >= 0.0 and proba.max() <= 1.0
         assert_allclose(proba.sum(axis=1), 1.0, atol=1e-9)
 
-    def test_full_width_slicing_matches_restricted(self):
-        rng = np.random.default_rng(10)
-        X = rng.normal(size=(50, 6))
-        y = (X[:, 1] + X[:, 4] > 0).astype(np.intp)
-        ids = [1, 4]
-        model = train_builtin(X[:, ids], y, feature_ids=ids)
-        assert np.array_equal(predict_proba(model, X), predict_proba(model, X[:, ids]))
-
     def test_width_mismatch_without_resolution(self):
         rng = np.random.default_rng(11)
         X = rng.normal(size=(30, 4))
@@ -276,21 +274,10 @@ class TestPredictProba:
         model = train_builtin(X, y)
         with pytest.raises(DataError, match="feature columns"):
             predict_proba(model, X[:, :2])
-
-    def test_imported_passthrough_and_checks(self):
-        proba = np.array([[0.9, 0.1], [0.2, 0.8]])
-        model = imported(proba)
-        assert predict_proba(model) is proba
-        assert predict_proba(model, np.zeros((2, 5))) is proba
-        with pytest.raises(DataError, match="row count"):
-            predict_proba(model, np.zeros((3, 5)))
-        with pytest.raises(DataError):
-            predict_proba(ProbModel(kind="imported", n_classes=2))
-
-    def test_builtin_needs_matrix(self):
-        X, y = separable_toy(seed=12)
-        with pytest.raises(DataError):
-            predict_proba(train_builtin(X, y))
+        # a view model is not handed the full table
+        view = train_builtin(X[:, [1, 3]], y)
+        with pytest.raises(DataError, match="expected 2 feature columns, got 4"):
+            predict_proba(view, X)
 
 
 class TestNormalizedWeights:
@@ -328,7 +315,7 @@ class TestEnsemblePredict:
 
     def test_single_member_identity(self):
         a = imported([[0.3, 0.7], [0.8, 0.2]])
-        assert_allclose(ensemble_predict([a], [0.9]), a.proba, atol=0)
+        assert_allclose(ensemble_predict([a], [0.9]), a, atol=0)
 
     def test_hand_weighted_example(self):
         a = imported([[1.0, 0.0]])
@@ -355,7 +342,7 @@ class TestEnsemblePredict:
     def test_mismatches(self):
         a = imported([[1.0, 0.0]])
         c = imported([[0.2, 0.3, 0.5]])
-        with pytest.raises(DataError, match="class set"):
+        with pytest.raises(DataError, match=r"differ in shape: \[\(1, 2\), \(1, 3\)\]"):
             ensemble_predict([a, c], [0.5, 0.5])
         with pytest.raises(ConfigError):
             ensemble_predict([], [])
@@ -366,11 +353,13 @@ class TestEnsemblePredict:
         rng = np.random.default_rng(15)
         X = rng.normal(size=(80, 5))
         y = (X[:, 0] - X[:, 3] > 0).astype(np.intp)
-        m1 = train_builtin(X[:, [0, 1]], y, feature_ids=[0, 1])
-        m2 = train_builtin(X[:, [3, 4]], y, feature_ids=[3, 4])
-        out = ensemble_predict([m1, m2], [0.8, 0.6], rows=X)
+        probas = [predict_proba(train_builtin(X[:, ids], y), X[:, ids])
+                  for ids in ([0, 1], [3, 4])]
+        out = ensemble_predict(probas, [0.8, 0.6])
         assert out.shape == (80, 2)
         assert_allclose(out.sum(axis=1), 1.0, atol=1e-9)
+        _, w = normalized_weights([0.8, 0.6])
+        assert np.array_equal(out, w[0] * probas[0] + w[1] * probas[1])
 
 
 def oracle_pair_auc(score, truth):
