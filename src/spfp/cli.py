@@ -20,12 +20,16 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict, dataclass, fields
+import warnings
+from dataclasses import asdict, dataclass, fields, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from .dataset import Dataset, SplitSpec, _file_errors, discretize, load_csv, split, split_rows
+from .dataset import (
+    MISSING_POLICIES, Dataset, SplitSpec, _file_errors, discretize, load_csv, split, split_rows,
+)
 from .ensemble import (
     ProbModel,
     ensemble_predict,
@@ -37,9 +41,14 @@ from .ensemble import (
 from .errors import ConfigError, DataError, SpfpError
 from .evalstats import RunMatrix, win_tie_loss
 from .partitioning import (
+    FRACTION,
+    MIN_COUNT,
+    Range,
     SpfpConfig,
     conditional_independence_report,
+    config_key,
     partition,
+    require,
     view_stats,
 )
 from .seeding import HOLDOUT_STREAM
@@ -53,8 +62,8 @@ EXIT_OK, EXIT_CONFIG, EXIT_DATA, EXIT_INTERNAL = 0, 2, 3, 4
 _JSON_TYPES = {"str": str, "int": int, "float": (int, float)}  # by RunConfig annotation
 
 
-@dataclass
-class RunConfig:
+@dataclass(kw_only=True)
+class RunConfig(SpfpConfig):
     """Everything a run needs, persisted inside every artifact.
 
     Written into views.json by `partition`; `evaluate` and `diagnose` read
@@ -64,20 +73,12 @@ class RunConfig:
     input: str
     target: str
     out: str = "."
-    n_views: int = 5
-    min_features: float = 0.1
-    remove_fraction: float = 0.6
-    entropy_tolerance: float = 1e-9
-    seed: int = 0
-    bins: int = 10
-    discretizer: str = "equal_frequency"
-    relevance_correlation: str = "codes"
-    test_fraction: float = 0.33
-    missing_policy: str = "error"
-    holdout_fraction: float = 0.2
-    l2: float = 1e-4
-    max_iters: int = 500
-    opt_tol: float = 1e-6
+    test_fraction: float = config_key(0.33, FRACTION)
+    missing_policy: str = config_key("error", *MISSING_POLICIES)
+    holdout_fraction: float = config_key(0.2, FRACTION)
+    l2: float = config_key(1e-4, Range(0.0))
+    max_iters: int = config_key(500, Range(1))
+    opt_tol: float = config_key(1e-6, Range(0.0, closed=False))
     format_version: int = FORMAT_VERSION
 
     def to_dict(self) -> dict:
@@ -118,17 +119,13 @@ class RunConfig:
             raise ConfigError(f"config missing required keys: {sorted(missing)}")
         return cls(**doc)
 
-    def spfp_config(self) -> SpfpConfig:
-        return SpfpConfig(
-            n_views=self.n_views,
-            min_features=self.min_features,
-            remove_fraction=self.remove_fraction,
-            entropy_tolerance=self.entropy_tolerance,
-            seed=self.seed,
-            bins=self.bins,
-            discretizer=self.discretizer,
-            relevance_correlation=self.relevance_correlation,
-        )
+
+_KEYS = {f.name: f for f in fields(RunConfig)}
+
+
+def _config_flags(args) -> dict:
+    """The config keys set by flags: an absent flag sets no attribute."""
+    return {k: v for k, v in vars(args).items() if k in _KEYS}
 
 
 def _write_json(path: Path, doc: dict) -> None:
@@ -142,21 +139,13 @@ def _update_run_log(out: Path, command: str, entry: dict) -> None:
     """Sidecar for timings and timestamps, keyed by command; deliberately
     the only artifact allowed to differ between reruns."""
     path = out / "run_log.json"
-    log: dict = {}
-    if path.exists():
-        try:
-            log = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            log = {}
+    try:
+        log = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError):
+        log = None
+    log = log if isinstance(log, dict) else {}  # absent, unreadable or not an object
     log[command] = entry
     _write_json(path, log)
-
-
-def _require_range(name: str, value: float, lo: float, hi: float, *, open_ends=False) -> None:
-    bad = not (lo < value < hi) if open_ends else not (lo <= value <= hi)
-    if bad:
-        left, right = ("(", ")") if open_ends else ("[", "]")
-        raise ConfigError(f"{name} must be in {left}{lo}, {hi}{right}, got {value}")
 
 
 def _load_and_split(rc: RunConfig) -> tuple[Dataset, Dataset, Dataset]:
@@ -179,13 +168,9 @@ def _load_counters(d: Dataset) -> dict:
     return {"rows_rejected": d.n_rejected_rows, "cells_imputed": d.n_imputed_cells}
 
 
-def _views_doc_path(args) -> Path:
-    if getattr(args, "views_file", None):
-        return Path(args.views_file)
-    return Path(args.out) / "views.json"
-
-
-def _read_views_doc(path: Path) -> tuple[dict, RunConfig]:
+def _read_views_doc(args) -> tuple[dict, RunConfig]:
+    """The views file and its config, with the stage's flags applied."""
+    path = Path(args.views_file) if args.views_file else Path(args.out) / "views.json"
     if not path.exists():
         raise DataError(f"views file not found: {path}")
     try:
@@ -196,7 +181,7 @@ def _read_views_doc(path: Path) -> tuple[dict, RunConfig]:
         raise DataError(f"views file {path} lacks config/views")
     if not isinstance(doc["config"], dict) or not isinstance(doc["views"], list):
         raise DataError(f"views file {path}: config must be an object and views a list")
-    return doc, RunConfig.from_dict(doc["config"])
+    return doc, replace(RunConfig.from_dict(doc["config"]), **_config_flags(args))
 
 
 def _view_ids(doc: dict, d: Dataset) -> list[list[int]]:
@@ -230,38 +215,11 @@ def _view_ids(doc: dict, d: Dataset) -> list[list[int]]:
 
 
 def cmd_partition(args) -> int:
-    _require_range("--remove-frac", args.remove_frac, 0.0, 1.0)
-    _require_range("--test-frac", args.test_frac, 0.0, 1.0, open_ends=True)
-    _require_range("--tolerance", args.tolerance, 0.0, 1.0, open_ends=True)
-    if args.bins < 2:
-        raise ConfigError(f"--bins must be >= 2, got {args.bins}")
-    if args.min_count is not None:
-        if args.min_count < 1:
-            raise ConfigError(f"--min-count must be >= 1, got {args.min_count}")
-        min_features: float | int = int(args.min_count)
-    else:
-        _require_range("--min-frac", args.min_frac, 0.0, 1.0, open_ends=True)
-        min_features = float(args.min_frac)
-
-    rc = RunConfig(
-        input=args.input,
-        target=args.target,
-        out=args.out,
-        n_views=args.views,
-        min_features=min_features,
-        remove_fraction=args.remove_frac,
-        entropy_tolerance=args.tolerance,
-        seed=args.seed,
-        bins=args.bins,
-        discretizer=args.discretizer,
-        relevance_correlation=args.relevance,
-        test_fraction=args.test_frac,
-        missing_policy=args.missing_policy,
-    )
+    rc = RunConfig(**_config_flags(args))
     started = time.time()
     t0 = time.perf_counter()
     train, n_test_rows, load_counters = _load_train(rc)
-    vs = partition(train, rc.spfp_config())
+    vs = partition(train, rc)
 
     out = Path(rc.out)
     views_json = {
@@ -376,14 +334,7 @@ def _training_summary(model: ProbModel, max_iters: int) -> dict:
 
 
 def cmd_evaluate(args) -> int:
-    views_path = _views_doc_path(args)
-    doc, rc = _read_views_doc(views_path)
-    rc.out = args.out
-    source = "holdout_fraction"
-    if args.holdout_frac is not None:
-        source, rc.holdout_fraction = "--holdout-frac", args.holdout_frac
-    _require_range(source, rc.holdout_fraction, 0.0, 1.0, open_ends=True)
-
+    doc, rc = _read_views_doc(args)
     started = time.time()
     t0 = time.perf_counter()
     d, train, test = _load_and_split(rc)
@@ -430,17 +381,12 @@ def cmd_evaluate(args) -> int:
             train, SplitSpec(rc.holdout_fraction, rc.seed), stream=HOLDOUT_STREAM
         )
         del train  # training reads the inner split and the holdout
+        fit = partial(train_builtin, l2=rc.l2, max_iters=rc.max_iters, tol=rc.opt_tol,
+                      n_classes=n_classes)
         for g, ids in enumerate(view_ids):
             name = _model_name(g)
             tm = time.perf_counter()
-            model = train_builtin(
-                inner_train.features[:, ids],
-                inner_train.target,
-                l2=rc.l2,
-                max_iters=rc.max_iters,
-                tol=rc.opt_tol,
-                n_classes=n_classes,
-            )
+            model = fit(inner_train.features[:, ids], inner_train.target)
             auc_g = metrics(predict_proba(model, holdout.features[:, ids]), holdout.target).auc
             proba = predict_proba(model, test.features[:, ids])
             elapsed[name] = time.perf_counter() - tm
@@ -450,14 +396,7 @@ def cmd_evaluate(args) -> int:
             reports[name] = metrics(proba, test.target)
         del holdout  # `All` is scored on the test rows only
         tm = time.perf_counter()
-        all_model = train_builtin(
-            inner_train.features,
-            inner_train.target,
-            l2=rc.l2,
-            max_iters=rc.max_iters,
-            tol=rc.opt_tol,
-            n_classes=n_classes,
-        )
+        all_model = fit(inner_train.features, inner_train.target)
         reports["All"] = metrics(predict_proba(all_model, test.features), test.target)
         elapsed["All"] = time.perf_counter() - tm
         training["All"] = _training_summary(all_model, rc.max_iters)
@@ -506,11 +445,8 @@ def cmd_evaluate(args) -> int:
         )
     capped = [name for name, t in training.items() if not t["converged"]]
     if capped:
-        print(
-            f"warning: stopped at max_iters={rc.max_iters} before converging: "
-            + ", ".join(capped),
-            file=sys.stderr,
-        )
+        warnings.warn(f"stopped at max_iters={rc.max_iters} before converging: "
+                      + ", ".join(capped))
     print(f"wrote {out / 'metrics.json'}")
     return EXIT_OK
 
@@ -520,9 +456,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
-    views_path = _views_doc_path(args)
-    doc, rc = _read_views_doc(views_path)
-    rc.out = args.out
+    doc, rc = _read_views_doc(args)
     started = time.time()
     t0 = time.perf_counter()
     train, _, load_counters = _load_train(rc)
@@ -584,10 +518,6 @@ def _read_run_matrix(path: Path, lower_better: bool) -> RunMatrix:
 
 
 def cmd_stats(args) -> int:
-    _require_range("--alpha", args.alpha, 0.0, 1.0, open_ends=True)
-    _require_range("--confidence", args.confidence, 0.0, 1.0, open_ends=True)
-    if args.bootstrap < 100:
-        raise ConfigError(f"--bootstrap must be >= 100, got {args.bootstrap}")
     lower = set(args.lower_better or [])
     matrices: dict[str, RunMatrix] = {}
     for spec_item in args.matrix:
@@ -657,6 +587,29 @@ def cmd_stats(args) -> int:
 # parser / entry point
 
 
+def _flag(parser, flag: str, dest: str, *allowed, parse=None, **kw) -> None:
+    """Add `flag` for `dest`, accepting `allowed` (by default the values
+    declared for config key `dest`); a value outside them exits 2 with a
+    message that names the flag."""
+    allowed = allowed or _KEYS[dest].metadata["allowed"]
+    if isinstance(allowed[0], str):
+        kw["choices"] = allowed
+    else:
+        parse = parse or {"int": int, "float": float}[_KEYS[dest].type]
+
+        def checked(text: str):
+            value = parse(text)
+            try:
+                require(dest, value, allowed)
+            except ConfigError as exc:
+                raise argparse.ArgumentTypeError(str(exc)) from None
+            return value
+
+        checked.__name__ = parse.__name__  # argparse names it in "invalid int value"
+        kw["type"] = checked
+    parser.add_argument(flag, dest=dest, **kw)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spfp",
@@ -665,45 +618,46 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("partition", help="build feature views from a CSV dataset")
+    # A config key's flag has no default: RunConfig's, or the views file's, applies.
+    p = sub.add_parser("partition", help="build feature views from a CSV dataset",
+                       argument_default=argparse.SUPPRESS)
     p.add_argument("--input", required=True, help="dataset CSV path")
-    p.add_argument("--target", required=True, help="target column name or index")
-    p.add_argument("--views", type=int, default=5, help="number of views")
+    p.add_argument("--target", required=True, help="target column name")
+    _flag(p, "--views", "n_views", help="number of views")
     size = p.add_mutually_exclusive_group()
-    size.add_argument("--min-frac", type=float, default=0.1,
-                      help="minimum view size as a fraction of the feature count")
-    size.add_argument("--min-count", type=int, default=None,
-                      help="minimum view size as an absolute count")
-    p.add_argument("--remove-frac", type=float, default=0.6,
-                   help="fraction of each view removed from the master pool")
-    p.add_argument("--bins", type=int, default=10)
-    p.add_argument("--discretizer", default="equal_frequency",
-                   choices=["equal_frequency", "equal_width"])
-    p.add_argument("--tolerance", type=float, default=1e-9,
-                   help="relative tolerance for the entropy stopping criteria")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--test-frac", type=float, default=0.33)
-    p.add_argument("--missing-policy", default="error",
-                   choices=["error", "drop", "median"])
-    p.add_argument("--relevance", default="codes", choices=["codes", "max_ovr"],
-                   help="target encoding for the Pearson relevance term")
-    p.add_argument("--out", default=".")
+    _flag(size, "--min-frac", "min_features", FRACTION,
+          help="minimum view size as a fraction of the feature count")
+    _flag(size, "--min-count", "min_features", MIN_COUNT, parse=int,
+          help="minimum view size as an absolute count")
+    _flag(p, "--remove-frac", "remove_fraction",
+          help="fraction of each view removed from the master pool")
+    _flag(p, "--bins", "bins")
+    _flag(p, "--discretizer", "discretizer")
+    _flag(p, "--tolerance", "entropy_tolerance",
+          help="relative tolerance for the entropy stopping criteria")
+    _flag(p, "--seed", "seed")
+    _flag(p, "--test-frac", "test_fraction")
+    _flag(p, "--missing-policy", "missing_policy")
+    _flag(p, "--relevance", "relevance_correlation",
+          help="target encoding for the Pearson relevance term")
+    p.add_argument("--out")
     p.set_defaults(func=cmd_partition)
 
-    e = sub.add_parser("evaluate", help="train/ingest per-view models and report metrics")
+    e = sub.add_parser("evaluate", help="train/ingest per-view models and report metrics",
+                       argument_default=argparse.SUPPRESS)
     e.add_argument("--views-file", default=None,
                    help="views.json path (default: <out>/views.json)")
     e.add_argument("--import-proba", default=None,
                    help="directory of imported prediction CSVs theta_k.csv (and All.csv)")
-    e.add_argument("--holdout-frac", type=float, default=None,
-                   help="training fraction held out for ensemble weights")
-    e.add_argument("--out", default=".")
+    _flag(e, "--holdout-frac", "holdout_fraction",
+          help="training fraction held out for ensemble weights")
+    e.add_argument("--out", default=RunConfig.out)  # never the views file's out
     e.set_defaults(func=cmd_evaluate)
 
     g = sub.add_parser("diagnose", help="pairwise conditional-independence report")
     g.add_argument("--views-file", default=None,
                    help="views.json path (default: <out>/views.json)")
-    g.add_argument("--out", default=".")
+    g.add_argument("--out", default=RunConfig.out)
     g.set_defaults(func=cmd_diagnose)
 
     s = sub.add_parser("stats", help="rank-based statistical comparison of run matrices")
@@ -712,10 +666,10 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--benchmark", required=True, help="benchmark model column name")
     s.add_argument("--lower-better", action="append", default=[], metavar="NAME",
                    help="metric for which lower values are better (repeatable)")
-    s.add_argument("--alpha", type=float, default=0.05)
-    s.add_argument("--bootstrap", type=int, default=10_000)
-    s.add_argument("--confidence", type=float, default=0.95)
-    s.add_argument("--seed", type=int, default=0)
+    _flag(s, "--alpha", "alpha", FRACTION, parse=float, default=0.05)
+    _flag(s, "--bootstrap", "bootstrap", Range(100), parse=int, default=10_000)
+    _flag(s, "--confidence", "confidence", FRACTION, parse=float, default=0.95)
+    _flag(s, "--seed", "seed", default=RunConfig.seed)
     s.add_argument("--out", default=".")
     s.set_defaults(func=cmd_stats)
     return parser
@@ -728,7 +682,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
-        return args.func(args)
+        # Each distinct library warning is one stderr line, even on failure.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                return args.func(args)
+            finally:
+                for message in dict.fromkeys(str(w.message) for w in caught):
+                    print(f"warning: {message}", file=sys.stderr)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

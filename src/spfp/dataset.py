@@ -23,7 +23,8 @@ from .seeding import SPLIT_STREAM, substream
 __all__ = ["Dataset", "CodedMatrix", "SplitSpec", "load_csv", "discretize", "split", "split_rows"]
 
 _MISSING_TOKENS = {"", "na", "n/a", "nan", "null"}
-_STRATEGIES = ("equal_frequency", "equal_width")
+DISCRETIZERS = ("equal_frequency", "equal_width")
+MISSING_POLICIES = ("error", "drop", "median")
 
 
 @dataclass
@@ -239,7 +240,7 @@ def load_csv(path, target_column, missing_policy: str = "error") -> Dataset:
     A clean file is parsed in one ``np.loadtxt`` pass; any other file is
     read again cell by cell, so both give the same Dataset or error.
     """
-    if missing_policy not in ("error", "drop", "median"):
+    if missing_policy not in MISSING_POLICIES:
         raise ConfigError(f"unknown missing_policy {missing_policy!r}")
     try:
         handle = open(path, newline="", encoding="utf-8")
@@ -308,8 +309,8 @@ def discretize(d: Dataset, bins: int = 10, strategy: str = "equal_frequency") ->
     """
     if bins < 2:
         raise ConfigError(f"bins must be >= 2, got {bins}")
-    if strategy not in _STRATEGIES:
-        raise ConfigError(f"unknown strategy {strategy!r}, expected one of {_STRATEGIES}")
+    if strategy not in DISCRETIZERS:
+        raise ConfigError(f"unknown strategy {strategy!r}, expected one of {DISCRETIZERS}")
 
     n_cols = d.n_features
     codes = np.empty((d.n_rows, n_cols), dtype=np.intp)

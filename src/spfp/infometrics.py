@@ -260,6 +260,11 @@ class PairCache:
         ])
         self._winner: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
+    @property
+    def columns(self) -> np.ndarray:
+        """The codes, feature-major: row i is feature i's column."""
+        return self._cols
+
     def feature_entropy(self, i: int) -> float:
         return float(self._h_feat[i])
 

@@ -23,11 +23,11 @@ from __future__ import annotations
 import math
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .dataset import CodedMatrix, Dataset, discretize
+from .dataset import DISCRETIZERS, CodedMatrix, Dataset, discretize
 from .errors import ConfigError, DataError
 from .infometrics import PairCache, RowPartition
 from .seeding import REMOVAL_STREAM, substream
@@ -44,43 +44,69 @@ __all__ = [
     "conditional_independence_report",
 ]
 
+@dataclass(frozen=True)
+class Range:
+    """The numbers v with lo <= v <= hi, or lo < v < hi unless `closed`;
+    with `whole`, whole numbers only. The default hi bounds from below only."""
+
+    lo: float
+    hi: float = math.inf
+    closed: bool = True
+    whole: bool = False
+
+    def __contains__(self, v) -> bool:
+        inside = self.lo <= v <= self.hi if self.closed else self.lo < v < self.hi
+        return inside and (not self.whole or float(v).is_integer())
+
+    def __str__(self) -> str:
+        if self.hi < math.inf:
+            return "in " + ("[{}, {}]" if self.closed else "({}, {})").format(self.lo, self.hi)
+        if self.lo == 0:
+            return "non-negative" if self.closed else "positive"
+        return f"{'a whole number ' if self.whole else ''}{'>=' if self.closed else '>'} {self.lo}"
+
+
+FRACTION = Range(0.0, 1.0, closed=False)
+MIN_COUNT = Range(1, whole=True)
+
+
+def require(key: str, value, allowed: tuple) -> None:
+    """Raise ConfigError unless `value` equals a str or lies in a Range of `allowed`."""
+    if not any(value == a if isinstance(a, str) else value in a for a in allowed):
+        what = " or ".join(repr(a) if isinstance(a, str) else str(a) for a in allowed)
+        raise ConfigError(f"{key} must be {what}, got {value!r}")
+
+
+def config_key(default, *allowed):
+    """A config field: its default and its allowed values, checked on construction."""
+    return field(default=default, metadata={"allowed": allowed})
+
+
 @dataclass
 class SpfpConfig:
     """Parameters of the partitioning run.
 
-    `min_features` is an absolute count when >= 1, a fraction of the total
-    feature count when in (0,1). `relevance_correlation` picks how the
+    `min_features` is a fraction of the total feature count when in (0,1),
+    a whole count otherwise. `relevance_correlation` picks how the
     Pearson term treats a multi-class target: ``codes`` correlates against
     the integer class codes, ``max_ovr`` takes the maximum over one-vs-rest
-    class indicators.
+    class indicators. Every field declared with `config_key` is checked against
+    its allowed values on construction, a subclass's fields too.
     """
 
-    n_views: int = 5
-    min_features: float = 0.1
-    remove_fraction: float = 0.6
-    entropy_tolerance: float = 1e-9
-    seed: int = 0
-    bins: int = 10
-    discretizer: str = "equal_frequency"
-    relevance_correlation: str = "codes"
+    n_views: int = config_key(5, Range(1))
+    min_features: float = config_key(0.1, FRACTION, MIN_COUNT)
+    remove_fraction: float = config_key(0.6, Range(0.0, 1.0))
+    entropy_tolerance: float = config_key(1e-9, FRACTION)
+    seed: int = config_key(0, Range(0))
+    bins: int = config_key(10, Range(2))
+    discretizer: str = config_key("equal_frequency", *DISCRETIZERS)
+    relevance_correlation: str = config_key("codes", "codes", "max_ovr")
 
     def __post_init__(self) -> None:
-        if self.n_views < 1:
-            raise ConfigError(f"n_views must be >= 1, got {self.n_views}")
-        if self.min_features <= 0:
-            raise ConfigError(f"min_features must be positive, got {self.min_features}")
-        if not 0.0 <= self.remove_fraction <= 1.0:
-            raise ConfigError(
-                f"remove_fraction must be in [0,1], got {self.remove_fraction}"
-            )
-        if self.entropy_tolerance <= 0:
-            raise ConfigError("entropy_tolerance must be positive")
-        if self.seed < 0:
-            raise ConfigError("seed must be non-negative")
-        if self.relevance_correlation not in ("codes", "max_ovr"):
-            raise ConfigError(
-                f"unknown relevance_correlation {self.relevance_correlation!r}"
-            )
+        for f in fields(self):
+            if "allowed" in f.metadata:
+                require(f.name, getattr(self, f.name), f.metadata["allowed"])
 
     def resolve_min_features(self, n_features: int) -> int:
         if 0 < self.min_features < 1:
@@ -159,10 +185,8 @@ def relevance_vector(
     """|Pearson r| of every raw feature column against the encoded target."""
     if mode == "codes":
         ys = [target.astype(np.float64)]
-    elif mode == "max_ovr":
+    else:  # "max_ovr"
         ys = [(target == c).astype(np.float64) for c in range(n_classes)]
-    else:
-        raise ConfigError(f"unknown relevance_correlation {mode!r}")
     xc = features - features.mean(axis=0)
     xnorm = np.sqrt((xc * xc).sum(axis=0))
     best = np.zeros(features.shape[1])
@@ -202,7 +226,7 @@ def criteria_met(
 class _Context:
     """Shared read-only state for building all views of one run."""
 
-    coded: CodedMatrix
+    n_rows: int
     target: np.ndarray
     cache: PairCache
     relevance: np.ndarray
@@ -214,17 +238,18 @@ class _Context:
 
 
 def _build_context(d: Dataset, coded: CodedMatrix, config: SpfpConfig) -> _Context:
+    """The run's shared state; the codes are kept only inside the PairCache."""
     cache = PairCache(coded.codes, coded.cardinalities, d.target)
     n_feat = coded.n_columns
     relevance = relevance_vector(
         d.features, d.target, d.n_classes, config.relevance_correlation
     )
     mi_y = np.array([cache.mi_with_target(i) for i in range(n_feat)])
-    full = RowPartition.from_columns(coded.codes.T)
+    full = RowPartition.from_columns(cache.columns)
     h_f = full.entropy()
     h_fy = full.refine(d.target).entropy()
     return _Context(
-        coded=coded,
+        n_rows=coded.n_rows,
         target=d.target,
         cache=cache,
         relevance=relevance,
@@ -249,8 +274,7 @@ def build_view(pool, ctx: _Context) -> View:
     if pool_arr.size == 0:
         raise ConfigError("pool is empty")
 
-    n_rows = ctx.coded.n_rows
-    part_s = RowPartition.trivial(n_rows)
+    part_s = RowPartition.trivial(ctx.n_rows)
     part_sy = part_s.refine(ctx.target)
     h_s, h_sy = 0.0, part_sy.entropy()
 
@@ -270,7 +294,7 @@ def build_view(pool, ctx: _Context) -> View:
 
         selected.append(winner)
         scores.append(float(score[best]))
-        col = ctx.coded.codes[:, winner]
+        col = ctx.cache.columns[winner]
         part_s = part_s.refine(col)
         part_sy = part_sy.refine(col)
         h_s, h_sy = part_s.entropy(), part_sy.entropy()
@@ -307,8 +331,7 @@ def partition(d: Dataset, config: SpfpConfig) -> ViewSet:
     |view|) of its features (sampled without replacement from a per-view
     Philox substream of the master seed) leave the master feature space.
     """
-    coded = discretize(d, config.bins, config.discretizer)
-    ctx = _build_context(d, coded, config)
+    ctx = _build_context(d, discretize(d, config.bins, config.discretizer), config)
     if ctx.n_f > d.n_features:
         raise ConfigError(
             f"resolved min_features {ctx.n_f} exceeds feature count {d.n_features}"

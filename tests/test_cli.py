@@ -8,8 +8,10 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -103,6 +105,15 @@ class TestRunConfig:
     def test_removed_discretizer_alias_reads_as_equal_frequency(self):
         doc = {"input": "a.csv", "target": "y", "discretizer": "passthrough_if_integral"}
         assert RunConfig.from_dict(doc) == RunConfig(input="a.csv", target="y")
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("max_iters", 0, "max_iters must be >= 1, got 0"),
+        ("min_features", 2.5, "min_features must be in (0.0, 1.0) or a whole number >= 1"),
+        ("missing_policy", "skip", "missing_policy must be 'error' or 'drop' or 'median'"),
+    ])
+    def test_constructor_checks_every_key(self, key, value, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            RunConfig(input="a.csv", target="y", **{key: value})
 
     def test_float_field_takes_an_int(self):
         rc = RunConfig.from_dict({"input": "a.csv", "target": "y", "min_features": 3})
@@ -209,6 +220,27 @@ class TestPartitionCommand:
         argv = partition_argv(csv_path, tmp_path, **{"--remove-frac": "1.5"})
         assert main(argv) == 2
         assert "--remove-frac" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", ["[]", "null", "3", "{not json"])
+    def test_run_log_that_is_not_an_object_is_replaced(self, workdir, capsys, content):
+        tmp_path, csv_path = workdir
+        (tmp_path / "run_log.json").write_text(content, encoding="utf-8")
+        assert main(partition_argv(csv_path, tmp_path)) == 0
+        assert set(read_json(tmp_path / "run_log.json")) == {"partition"}
+        assert "internal error" not in capsys.readouterr().err
+
+    def test_library_warning_is_one_stderr_line(self, workdir, capsys):
+        tmp_path, csv_path = workdir
+        argv = partition_argv(csv_path, tmp_path, **{"--remove-frac": "1.0"})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 0
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            "warning: view 2 exhausted its pool before meeting the stopping criteria "
+            "(2 features selected)"
+        ]
+        assert "UserWarning" not in err
 
     def test_missing_input_exits_3(self, tmp_path, capsys):
         argv = partition_argv(tmp_path / "absent.csv", tmp_path)
@@ -360,6 +392,20 @@ class TestEvaluateCommand:
         assert "holdout_fraction must be in (0.0, 1.0), got 1.5" in err
         assert "test_fraction" not in err
 
+    def test_views_file_holdout_fraction_is_checked_under_the_flag(self, partitioned, capsys):
+        tmp_path, _ = partitioned
+        doc = read_json(tmp_path / "views.json")
+        doc["config"]["holdout_fraction"] = 1.5
+        (tmp_path / "views.json").write_text(json.dumps(doc))
+        assert main(["evaluate", "--out", str(tmp_path), "--holdout-frac", "0.3"]) == 2
+        assert "holdout_fraction must be in (0.0, 1.0), got 1.5" in capsys.readouterr().err
+
+    def test_holdout_frac_flag_overrides_the_views_file(self, partitioned):
+        tmp_path, _ = partitioned
+        assert main(["evaluate", "--out", str(tmp_path), "--holdout-frac", "0.3"]) == 0
+        doc = read_json(tmp_path / "metrics.json")
+        assert doc["weighting"]["holdout_fraction"] == doc["config"]["holdout_fraction"] == 0.3
+
     def test_single_view_has_no_ensembles(self, workdir):
         tmp_path, csv_path = workdir
         assert main(partition_argv(csv_path, tmp_path,
@@ -464,6 +510,19 @@ class TestImportProba:
         w = aucs / aucs.sum()
         expected = metrics(w[0] * probas[0] + w[1] * probas[1], test.target)
         assert doc["models"]["E_1:2"] == expected.to_dict()
+
+    def test_zero_auc_member_is_one_warning_line(self, proba_dir, capsys):
+        tmp_path, pdir, _ = proba_dir
+        rc = RunConfig.from_dict(read_json(tmp_path / "views.json")["config"])
+        _, test = split(load_csv(rc.input, rc.target), SplitSpec(rc.test_fraction, rc.seed))
+        write_proba_csv(pdir / "theta_1.csv", 0.05 + 0.9 * (1 - test.target))  # AUC 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["evaluate", "--out", str(tmp_path), "--import-proba", str(pdir)]) == 0
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["warning: excluding zero-AUC ensemble members [0]"]
+        assert read_json(tmp_path / "metrics.json")["ensembles"]["E_1:2"]["members"] == [
+            "theta_2"]
 
     def test_missing_benchmark_file_is_skipped(self, proba_dir, capsys):
         tmp_path, pdir, _ = proba_dir
@@ -634,6 +693,68 @@ class TestViewsFileIndices:
         assert f"config key '{key}' {message}" in err
         assert "internal error" not in err
 
+
+
+    @pytest.mark.parametrize("command", ["evaluate", "diagnose"])
+    @pytest.mark.parametrize("key,value,message", [
+        ("n_views", 0, "must be >= 1, got 0"),
+        ("min_features", 1.5, "must be in (0.0, 1.0) or a whole number >= 1, got 1.5"),
+        ("min_features", 0, "must be in (0.0, 1.0) or a whole number >= 1, got 0"),
+        ("remove_fraction", 1.5, "must be in [0.0, 1.0], got 1.5"),
+        ("entropy_tolerance", 1.0, "must be in (0.0, 1.0), got 1.0"),
+        ("seed", -1, "must be non-negative, got -1"),
+        ("bins", 1, "must be >= 2, got 1"),
+        ("discretizer", "bogus", "must be 'equal_frequency' or 'equal_width', got 'bogus'"),
+        ("relevance_correlation", "spearman", "must be 'codes' or 'max_ovr', got 'spearman'"),
+        ("test_fraction", 0.0, "must be in (0.0, 1.0), got 0.0"),
+        ("missing_policy", "skip", "must be 'error' or 'drop' or 'median', got 'skip'"),
+        ("holdout_fraction", 0.0, "must be in (0.0, 1.0), got 0.0"),
+        ("l2", -1.0, "must be non-negative, got -1.0"),
+        ("max_iters", -3, "must be >= 1, got -3"),
+        ("opt_tol", -1.0, "must be positive, got -1.0"),
+    ])
+    def test_out_of_range_config_value_exits_2(self, partitioned, capsys, command, key,
+                                               value, message):
+        tmp_path, _ = partitioned
+        views_path = tmp_path / "views.json"
+        doc = read_json(views_path)
+        doc["config"][key] = value
+        views_path.write_text(json.dumps(doc), encoding="utf-8")
+        before = sorted(tmp_path.iterdir())
+        log = (tmp_path / "run_log.json").read_bytes()
+        assert main([command, "--out", str(tmp_path)]) == 2
+        assert f"error: {key} {message}" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == before
+        assert (tmp_path / "run_log.json").read_bytes() == log
+
+
+class TestFlagRanges:
+    @pytest.mark.parametrize("command,flag,value,message", [
+        ("partition", "--views", "0", "n_views must be >= 1, got 0"),
+        ("partition", "--min-frac", "1.0", "min_features must be in (0.0, 1.0), got 1.0"),
+        ("partition", "--min-count", "0", "min_features must be a whole number >= 1, got 0"),
+        ("partition", "--remove-frac", "-0.1", "remove_fraction must be in [0.0, 1.0], got -0.1"),
+        ("partition", "--bins", "1", "bins must be >= 2, got 1"),
+        ("partition", "--tolerance", "0", "entropy_tolerance must be in (0.0, 1.0), got 0.0"),
+        ("partition", "--seed", "-1", "seed must be non-negative, got -1"),
+        ("partition", "--test-frac", "1", "test_fraction must be in (0.0, 1.0), got 1.0"),
+        ("evaluate", "--holdout-frac", "0", "holdout_fraction must be in (0.0, 1.0), got 0.0"),
+        ("stats", "--alpha", "0", "alpha must be in (0.0, 1.0), got 0.0"),
+        ("stats", "--bootstrap", "99", "bootstrap must be >= 100, got 99"),
+        ("stats", "--confidence", "1", "confidence must be in (0.0, 1.0), got 1.0"),
+        ("stats", "--seed", "-1", "seed must be non-negative, got -1"),
+    ])
+    def test_out_of_range_flag_exits_2_naming_it(self, workdir, capsys, command, flag, value,
+                                                message):
+        tmp_path, csv_path = workdir
+        required = {
+            "partition": ["--input", str(csv_path), "--target", "y"],
+            "evaluate": [],
+            "stats": ["--matrix", f"acc={csv_path}", "--benchmark", "y"],
+        }[command]
+        assert main([command, *required, "--out", str(tmp_path), flag, value]) == 2
+        assert f"argument {flag}: {message}" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["toy.csv"]
 
 
 class TestRunLogLoadCounters:

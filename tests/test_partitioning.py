@@ -111,6 +111,10 @@ class TestSpfpConfig:
             {"entropy_tolerance": 0.0},
             {"seed": -1},
             {"relevance_correlation": "spearman"},
+            {"entropy_tolerance": 1.0},
+            {"min_features": 1.5},
+            {"bins": 1},
+            {"discretizer": "kmeans"},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
