@@ -55,7 +55,7 @@ from .seeding import HOLDOUT_STREAM
 
 __all__ = ["RunConfig", "main", "build_parser", "FORMAT_VERSION"]
 
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 EXIT_OK, EXIT_CONFIG, EXIT_DATA, EXIT_INTERNAL = 0, 2, 3, 4
 
 
@@ -79,7 +79,7 @@ class RunConfig(SpfpConfig):
     l2: float = config_key(1e-4, Range(0.0))
     max_iters: int = config_key(500, Range(1))
     opt_tol: float = config_key(1e-6, Range(0.0, closed=False))
-    format_version: int = FORMAT_VERSION
+    format_version: int = config_key(FORMAT_VERSION, Range(1, FORMAT_VERSION))
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -106,9 +106,10 @@ class RunConfig(SpfpConfig):
             # A since-removed alias that gave the codes of equal_frequency.
             doc = {**doc, "discretizer": "equal_frequency"}
         if version < FORMAT_VERSION:
-            # Format 3 changed only the bootstrap intervals of `stats` and
-            # format 4 only its p-values; no config key sets either, so
-            # older configs read as current.
+            # Format 3 changed only the bootstrap intervals of `stats`,
+            # format 4 only its p-values and format 5 only how the built-in
+            # model is trained; no config key selects any of them, so older
+            # configs read as current. A newer one fails the key's range.
             doc = {**doc, "format_version": FORMAT_VERSION}
         known = {f.name for f in fields(cls)}
         unknown = set(doc) - known
@@ -404,10 +405,10 @@ def cmd_evaluate(args) -> int:
     for k in range(2, n_views + 1):
         name = f"E_1:{k}"
         tm = time.perf_counter()
-        proba = ensemble_predict(test_probas[:k], member_auc[:k])
+        kept, weights = normalized_weights(member_auc[:k])
+        proba = ensemble_predict([test_probas[i] for i in kept], weights)
         reports[name] = metrics(proba, test.target)
         elapsed[name] = time.perf_counter() - tm
-        kept, weights = normalized_weights(member_auc[:k])
         ensembles_meta[name] = {
             "members": [_model_name(i) for i in kept],
             "weights": [float(w) for w in weights],

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from spfp import evalstats
-from spfp.cli import FORMAT_VERSION, RunConfig, _write_json, main
+from spfp.cli import FORMAT_VERSION, RunConfig, _write_json, build_parser, cmd_evaluate, main
 from spfp.dataset import SplitSpec, load_csv, split
 from spfp.ensemble import metrics
 from spfp.evalstats import friedman
@@ -91,7 +91,7 @@ class TestRunConfig:
         doc = {"input": "a.csv", "target": "y", "workers": 4, "format_version": 1}
         rc = RunConfig.from_dict(doc)
         assert rc == RunConfig(input="a.csv", target="y")
-        assert rc.format_version == FORMAT_VERSION == 4
+        assert rc.format_version == FORMAT_VERSION
 
     def test_format_2_config_reads_as_current(self):
         rc = RunConfig.from_dict({"input": "a.csv", "target": "y", "format_version": 2})
@@ -289,7 +289,7 @@ class TestPartitionCommand:
         assert "workers" not in config
         assert config["format_version"] == FORMAT_VERSION
 
-    @pytest.mark.parametrize("version", [2, 3])
+    @pytest.mark.parametrize("version", [2, 3, 4])
     def test_older_views_file_runs_evaluate_and_diagnose(self, partitioned, version):
         tmp_path, _ = partitioned
         doc = read_json(tmp_path / "views.json")
@@ -299,7 +299,8 @@ class TestPartitionCommand:
         assert main(["diagnose", "--out", str(tmp_path)]) == 0
         for name in ("metrics.json", "independence.json"):
             written = read_json(tmp_path / name)
-            assert written["format_version"] == written["config"]["format_version"] == 4
+            assert written["format_version"] == FORMAT_VERSION
+            assert written["config"]["format_version"] == FORMAT_VERSION
 
     def test_bad_discretizer_choice_exits_2(self, workdir, capsys):
         tmp_path, csv_path = workdir
@@ -451,6 +452,14 @@ class TestEvaluateCommand:
             assert 0.0 < entry["final_loss"] < 1.0
         assert "warning" not in capsys.readouterr().err
 
+    def test_default_training_converges(self, partitioned, capsys):
+        tmp_path, _ = partitioned
+        assert main(["evaluate", "--out", str(tmp_path)]) == 0
+        training = read_json(tmp_path / "metrics.json")["training"]
+        assert set(training) == {"theta_1", "theta_2", "All"}
+        assert all(t["converged"] is True for t in training.values())
+        assert "stopped at max_iters" not in capsys.readouterr().err
+
     def test_max_iters_stop_is_flagged(self, partitioned, capsys):
         tmp_path, _ = partitioned
         training = self._evaluate_with(tmp_path, max_iters=1)
@@ -523,6 +532,24 @@ class TestImportProba:
         assert err.splitlines() == ["warning: excluding zero-AUC ensemble members [0]"]
         assert read_json(tmp_path / "metrics.json")["ensembles"]["E_1:2"]["members"] == [
             "theta_2"]
+
+    def test_zero_auc_warning_is_raised_once_per_prefix(self, workdir):
+        tmp_path, csv_path = workdir
+        assert main(partition_argv(csv_path, tmp_path, **{"--views": 3})) == 0
+        rc = RunConfig.from_dict(read_json(tmp_path / "views.json")["config"])
+        _, test = split(load_csv(rc.input, rc.target), SplitSpec(rc.test_fraction, rc.seed))
+        pdir = tmp_path / "imported"
+        pdir.mkdir()
+        write_proba_csv(pdir / "theta_1.csv", 0.05 + 0.9 * (1 - test.target))  # AUC 0
+        for name in ("theta_2", "theta_3"):
+            write_proba_csv(pdir / f"{name}.csv", 0.05 + 0.9 * test.target)
+        args = build_parser().parse_args(
+            ["evaluate", "--out", str(tmp_path), "--import-proba", str(pdir)])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cmd_evaluate(args) == 0
+        messages = [str(w.message) for w in caught]
+        assert messages == ["excluding zero-AUC ensemble members [0]"] * 2  # E_1:2, E_1:3
 
     def test_missing_benchmark_file_is_skipped(self, proba_dir, capsys):
         tmp_path, pdir, _ = proba_dir
@@ -712,6 +739,7 @@ class TestViewsFileIndices:
         ("l2", -1.0, "must be non-negative, got -1.0"),
         ("max_iters", -3, "must be >= 1, got -3"),
         ("opt_tol", -1.0, "must be positive, got -1.0"),
+        ("format_version", 99, f"must be in [1, {FORMAT_VERSION}], got 99"),  # a newer format
     ])
     def test_out_of_range_config_value_exits_2(self, partitioned, capsys, command, key,
                                                value, message):

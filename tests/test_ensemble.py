@@ -1,13 +1,17 @@
 """Baseline classifier, AUC-weighted averaging, and the metric report.
 
 Gradient correctness is checked against central finite differences of an
-independently written penalized cross-entropy; AUC is checked against
+independently written penalized cross-entropy, and the trained optimum
+against scipy's L-BFGS-B on the same objective; AUC is checked against
 explicit concordant/tied pair counting.
 """
+
+import itertools
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.optimize import minimize
 
 from spfp.ensemble import (
     MetricReport,
@@ -51,8 +55,8 @@ def reference_softmax(z):
 
 
 def reference_train(X, y, *, l2=1e-4, max_iters=500, tol=1e-6, n_classes=None):
-    """The out-of-place gradient descent train_builtin is a rewrite of:
-    returns (weights, iterations, final_loss)."""
+    """The out-of-place accelerated gradient with adaptive restart that
+    train_builtin is a rewrite of: returns (weights, iterations, final_loss)."""
     X = np.asarray(X, dtype=np.float64)
     n, d = X.shape
     n_cls = int(n_classes) if n_classes is not None else int(y.max()) + 1
@@ -64,17 +68,27 @@ def reference_train(X, y, *, l2=1e-4, max_iters=500, tol=1e-6, n_classes=None):
     lip = 0.5 * float(np.linalg.eigvalsh(xb.T @ xb)[-1]) / n + l2
     lr = 1.0 / lip
     w = np.zeros((d + 1, n_cls))
+    v = np.zeros((d + 1, n_cls))
+    t = 1.0
     onehot = np.eye(n_cls)[y]
     penalty_mask = np.ones((d + 1, 1))
     penalty_mask[0, 0] = 0.0
 
     iterations = 0
     for _ in range(max_iters):
-        p = reference_softmax(xb @ w)
-        grad = xb.T @ (p - onehot) / n + l2 * (w * penalty_mask)
+        p = reference_softmax(xb @ v)
+        grad = xb.T @ (p - onehot) / n + l2 * (v * penalty_mask)
         if float(np.abs(grad).max()) < tol:
+            w = v
             break
-        w -= lr * grad
+        w_next = v - lr * grad
+        if float(np.vdot(grad, w_next - w)) > 0.0:
+            t, v = 1.0, w_next
+        else:
+            t_next = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
+            v = w_next + ((t - 1.0) / t_next) * (w_next - w)
+            t = t_next
+        w = w_next
         iterations += 1
 
     p = reference_softmax(xb @ w)
@@ -152,6 +166,71 @@ class TestTrainMatchesReference:
         X, y = oracle_data(200, 5, 3, seed=4, separation=4.0)
         model = self.assert_same(X, y, tol=0.0, max_iters=300)
         assert model.iterations == 300
+
+
+def penalized_nll_grad(w_flat, xb, y, l2, n_cls):
+    """Gradient of `penalized_nll`."""
+    w = w_flat.reshape(xb.shape[1], n_cls)
+    g = xb.T @ (reference_softmax(xb @ w) - np.eye(n_cls)[y]) / y.shape[0]
+    g[1:] += l2 * w[1:]
+    return g.ravel()
+
+
+def latent_pairs_data(n, n_latent, seed):
+    """Columns 2*L_a + L_b over every pair of binary latents, a noisy
+    3-class target from three of them: strongly correlated columns."""
+    rng = np.random.default_rng(seed)
+    L = (rng.random((n, n_latent)) < np.linspace(0.3, 0.5, n_latent)).astype(np.int64)
+    pairs = itertools.combinations(range(n_latent), 2)
+    X = np.stack([2 * L[:, a] + L[:, b] for a, b in pairs], axis=1).astype(np.float64)
+    y = (L[:, 0] + L[:, 1] + L[:, 2]) % 3
+    noisy = rng.random(n) < 0.1
+    y[noisy] = rng.integers(0, 3, int(noisy.sum()))
+    return X, y.astype(np.intp)
+
+
+def plain_descent_iterations(X, y, *, l2=1e-4, max_iters=500, tol=1e-6):
+    """Updates fixed-step gradient descent from zero makes before its
+    gradient max-norm drops below tol, or max_iters."""
+    n, n_cls = X.shape[0], int(y.max()) + 1
+    xb = np.hstack([np.ones((n, 1)), (X - X.mean(axis=0)) / X.std(axis=0)])
+    lip = 0.5 * float(np.linalg.eigvalsh(xb.T @ xb)[-1]) / n + l2
+    w = np.zeros(xb.shape[1] * n_cls)
+    for k in range(max_iters):
+        g = penalized_nll_grad(w, xb, y, l2, n_cls)
+        if np.abs(g).max() < tol:
+            return k
+        w -= g / lip
+    return max_iters
+
+
+class TestTrainOptimum:
+    """Where train_builtin ends, against an independent optimizer."""
+
+    @pytest.mark.parametrize("data", [
+        oracle_data(300, 1, 2, seed=0, separation=0.5),
+        oracle_data(300, 15, 3, seed=1, separation=0.5),
+        oracle_data(300, 40, 10, seed=2, separation=0.5),
+        latent_pairs_data(1000, 12, seed=0),
+    ])
+    def test_objective_matches_lbfgs(self, data):
+        X, y = data
+        l2, k = 1e-4, int(y.max()) + 1
+        model = train_builtin(X, y, l2=l2)
+        assert model.iterations < 500  # converged
+        xb = np.hstack([np.ones((X.shape[0], 1)), (X - model.mean) / model.scale])
+        oracle = minimize(penalized_nll, np.zeros(xb.shape[1] * k), args=(xb, y, l2, k),
+                          jac=penalized_nll_grad, method="L-BFGS-B",
+                          options={"gtol": 1e-12, "ftol": 1e-15, "maxiter": 10_000})
+        ours = penalized_nll(model.weights.ravel(), xb, y, l2, k)
+        assert abs(ours - oracle.fun) < 1e-8  # nats
+
+    def test_correlated_binary_columns_converge(self):
+        # 66 columns over 12 latents, as in the benchmark's lowcard workload
+        X, y = latent_pairs_data(1000, 12, seed=0)
+        assert plain_descent_iterations(X, y) == 500
+        model = train_builtin(X, y, max_iters=500)
+        assert model.iterations < 500
 
 
 class TestTrainBuiltin:
@@ -315,7 +394,7 @@ class TestEnsemblePredict:
 
     def test_single_member_identity(self):
         a = imported([[0.3, 0.7], [0.8, 0.2]])
-        assert_allclose(ensemble_predict([a], [0.9]), a, atol=0)
+        assert_allclose(ensemble_predict([a], [1.0]), a, atol=0)
 
     def test_hand_weighted_example(self):
         a = imported([[1.0, 0.0]])
@@ -326,17 +405,18 @@ class TestEnsemblePredict:
     def test_rows_still_distributions(self):
         rng = np.random.default_rng(13)
         members = [imported(rng.dirichlet(np.ones(3), size=20)) for _ in range(4)]
-        out = ensemble_predict(members, [0.9, 0.6, 0.7, 0.5])
+        _, w = normalized_weights([0.9, 0.6, 0.7, 0.5])
+        out = ensemble_predict(members, w)
         assert_allclose(out.sum(axis=1), 1.0, atol=1e-9)
         assert out.min() >= 0.0
 
     def test_member_permutation_invariance(self):
         rng = np.random.default_rng(14)
         members = [imported(rng.dirichlet(np.ones(2), size=10)) for _ in range(3)]
-        aucs = [0.9, 0.5, 0.7]
-        base = ensemble_predict(members, aucs)
+        _, w = normalized_weights([0.9, 0.5, 0.7])
+        base = ensemble_predict(members, w)
         perm = [2, 0, 1]
-        out = ensemble_predict([members[i] for i in perm], [aucs[i] for i in perm])
+        out = ensemble_predict([members[i] for i in perm], [w[i] for i in perm])
         assert_allclose(out, base, atol=1e-12)
 
     def test_mismatches(self):
@@ -355,10 +435,10 @@ class TestEnsemblePredict:
         y = (X[:, 0] - X[:, 3] > 0).astype(np.intp)
         probas = [predict_proba(train_builtin(X[:, ids], y), X[:, ids])
                   for ids in ([0, 1], [3, 4])]
-        out = ensemble_predict(probas, [0.8, 0.6])
+        _, w = normalized_weights([0.8, 0.6])
+        out = ensemble_predict(probas, w)
         assert out.shape == (80, 2)
         assert_allclose(out.sum(axis=1), 1.0, atol=1e-9)
-        _, w = normalized_weights([0.8, 0.6])
         assert np.array_equal(out, w[0] * probas[0] + w[1] * probas[1])
 
 
