@@ -39,7 +39,7 @@ from .ensemble import (
     train_builtin,
 )
 from .errors import ConfigError, DataError, SpfpError
-from .evalstats import RunMatrix, win_tie_loss
+from .evalstats import BOOTSTRAP_BLOCK, RunMatrix, win_tie_loss
 from .partitioning import (
     FRACTION,
     MIN_COUNT,
@@ -182,7 +182,17 @@ def _read_views_doc(args) -> tuple[dict, RunConfig]:
         raise DataError(f"views file {path} lacks config/views")
     if not isinstance(doc["config"], dict) or not isinstance(doc["views"], list):
         raise DataError(f"views file {path}: config must be an object and views a list")
-    return doc, replace(RunConfig.from_dict(doc["config"]), **_config_flags(args))
+    rc = RunConfig.from_dict(doc["config"])
+    # the file's own format_version, by the config key's rule, must be the config's
+    version, config_version = doc.get("format_version"), doc["config"].get("format_version", 1)
+    if type(version) is not int:
+        raise ConfigError(f"views file format_version must be int, got {version!r}")
+    require("views file format_version", version, _KEYS["format_version"].metadata["allowed"])
+    if version != config_version:
+        raise ConfigError(
+            f"views file format_version {version} differs from its config's {config_version}"
+        )
+    return doc, replace(rc, **_config_flags(args))
 
 
 def _view_ids(doc: dict, d: Dataset) -> list[list[int]]:
@@ -571,7 +581,13 @@ def cmd_stats(args) -> int:
     _update_run_log(
         out,
         "stats",
-        {"started_unix": started, "elapsed_seconds": time.perf_counter() - t0},
+        {
+            "started_unix": started,
+            "elapsed_seconds": time.perf_counter() - t0,
+            "comparisons": sum(len(verdicts) for verdicts in table.values()),
+            # the models of a metric share its one draw of bootstrap blocks
+            "bootstrap_blocks_drawn": len(table) * math.ceil(args.bootstrap / BOOTSTRAP_BLOCK),
+        },
     )
 
     for name in matrices:

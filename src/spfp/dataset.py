@@ -62,15 +62,14 @@ class Dataset:
 
 @dataclass
 class CodedMatrix:
-    """Per-column small-integer codes with cardinalities and cut points.
+    """Per-column small-integer codes with their cardinalities.
 
-    ``bin_edges[j]`` holds the interior cut points used for column j, empty
-    for passthrough columns. Codes are dense: every value 0..card-1 occurs.
+    Codes are dense: every value 0..card-1 occurs in column j, which has
+    ``cardinalities[j]`` of them.
     """
 
     codes: np.ndarray
     cardinalities: np.ndarray
-    bin_edges: tuple[np.ndarray, ...]
 
     @property
     def n_rows(self) -> int:
@@ -315,16 +314,13 @@ def discretize(d: Dataset, bins: int = 10, strategy: str = "equal_frequency") ->
     n_cols = d.n_features
     codes = np.empty((d.n_rows, n_cols), dtype=np.intp)
     cards = np.empty(n_cols, dtype=np.intp)
-    edges_out: list[np.ndarray] = []
     for j in range(n_cols):
         col = d.features[:, j]
         uniques = np.unique(col)
         if _is_integral(col) and uniques.shape[0] <= bins:
             coded = np.searchsorted(uniques, col)
-            edges = np.empty(0, dtype=np.float64)
         elif uniques.shape[0] == 1:
             coded = np.zeros(d.n_rows, dtype=np.intp)
-            edges = np.empty(0, dtype=np.float64)
         else:
             if strategy == "equal_width":
                 edges = np.linspace(col.min(), col.max(), bins + 1)[1:-1]
@@ -336,8 +332,7 @@ def discretize(d: Dataset, bins: int = 10, strategy: str = "equal_frequency") ->
             coded = _dense_recode(coded)
         codes[:, j] = coded
         cards[j] = int(coded.max()) + 1
-        edges_out.append(edges)
-    return CodedMatrix(codes=codes, cardinalities=cards, bin_edges=tuple(edges_out))
+    return CodedMatrix(codes=codes, cardinalities=cards)
 
 
 def _stratified_test_counts(class_sizes: np.ndarray, test_fraction: float) -> np.ndarray:

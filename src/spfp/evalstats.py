@@ -316,33 +316,69 @@ def bootstrap_ci(
     resample indices of a are drawn first as ``integers(0, a.size,
     (m, a.size))``, then those of b as ``integers(0, b.size, (m, b.size))``.
     Row r of the two draws is replicate r, and its delta equals
-    ``cliffs_delta(a[ia[r]], b[ib[r]])`` bit for bit.
+    ``cliffs_delta(a[ia[r]], b[ib[r]])`` bit for bit: its numerator, the
+    exact (greater - less) count, comes from running counts over sorted b
+    in O(a.size + b.size) per replicate. `win_tie_loss` scores all models
+    of a metric from one such draw, which gives each the interval of its
+    own call.
     """
+    a = np.asarray(a, dtype=np.float64).ravel()
+    return _bootstrap_intervals(a[None, :], b, replicates, confidence, seed)[0]
+
+
+def _bootstrap_intervals(
+    samples: np.ndarray, b, replicates: int, confidence: float, seed: int
+) -> list[tuple[float, float]]:
+    """bootstrap_ci(row, b, ...) for every row of `samples`: the rows have
+    one size, so they share the stream contract's one draw."""
     if replicates < 100:
         raise ConfigError("replicates must be >= 100")
     if not 0.0 < confidence < 1.0:
         raise ConfigError("confidence must be in (0,1)")
-    a = np.asarray(a, dtype=np.float64).ravel()
     b = np.asarray(b, dtype=np.float64).ravel()
-    if a.size == 0 or b.size == 0:
+    n_a, n_b = samples.shape[1], b.size
+    if n_a == 0 or n_b == 0:
         raise DataError("bootstrap_ci requires non-empty samples")
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+    if not (np.isfinite(samples).all() and np.isfinite(b).all()):
         raise DataError("bootstrap_ci requires finite samples")
-    # A replicate's delta is wa' S wb / (n_a n_b), with wa and wb its
-    # resample counts and S the sign matrix: the int64 numerator is the
-    # exact (greater - less) count that cliffs_delta divides.
-    signs = np.sign(a[:, None] - b[None, :]).astype(np.int64)
+    order = np.argsort(b)
+    b_sorted = b[order]
+    below = np.searchsorted(b_sorted, samples, side="left")
+    not_above = np.searchsorted(b_sorted, samples, side="right")
     rng = substream(seed, BOOTSTRAP_STREAM)
-    deltas = np.empty(replicates)
+    deltas = [np.empty(replicates) for _ in samples]  # no k x replicates block
     for start in range(0, replicates, BOOTSTRAP_BLOCK):
         m = min(BOOTSTRAP_BLOCK, replicates - start)
-        wa = _resample_counts(rng.integers(0, a.size, (m, a.size)))
-        wb = _resample_counts(rng.integers(0, b.size, (m, b.size)))
-        dominance = np.einsum("ri,ij,rj->r", wa, signs, wb)
-        deltas[start : start + m] = dominance / (a.size * b.size)
+        wa = _resample_counts(rng.integers(0, n_a, (m, n_a)))
+        wb = _resample_counts(rng.integers(0, n_b, (m, n_b)))
+        dominance = _dominance(wa, wb[:, order], below, not_above)
+        for row, counts in zip(deltas, dominance.T):
+            row[start : start + m] = counts / (n_a * n_b)
     tail = (1.0 - confidence) / 2.0
-    lo, hi = np.quantile(deltas, [tail, 1.0 - tail])
-    return float(lo), float(hi)
+    # in place: an interval depends only on order statistics of its deltas
+    return [
+        tuple(float(q) for q in np.quantile(row, [tail, 1.0 - tail], overwrite_input=True))
+        for row in deltas
+    ]
+
+
+def _dominance(
+    wa: np.ndarray, wb_sorted: np.ndarray, below: np.ndarray, not_above: np.ndarray
+) -> np.ndarray:
+    """(m, k) int64: sum over i, j of wa[r, i] sign(a_si - b_j) wb[r, j],
+    the exact (greater - less) count of replicate r for sample s.
+
+    wa and wb_sorted are resample counts, rows summing to n_a and n_b, with
+    wb_sorted's columns in ascending order of b; below[s, i] and
+    not_above[s, i] count the values of b under and not above a_si. With
+    running[r, t] the draws among the t smallest values of b, a_si beats
+    running[r, below] draws and loses to n_b - running[r, not_above].
+    """
+    m, n_b = wb_sorted.shape
+    running = np.zeros((m, n_b + 1), dtype=np.int64)
+    np.cumsum(wb_sorted, axis=1, out=running[:, 1:])
+    weighted = (running[:, below] + running[:, not_above]) * wa[:, None, :]
+    return weighted.sum(axis=2) - wa.shape[1] * n_b
 
 
 def _resample_counts(indices: np.ndarray) -> np.ndarray:
@@ -392,11 +428,11 @@ def win_tie_loss(
 
         sign = 1.0 if m.higher_is_better else -1.0
         bench_vals = sign * m.values[:, bench_col]
+        model_vals = sign * m.values[:, others].T
+        cis = _bootstrap_intervals(model_vals, bench_vals, replicates, confidence, seed)
         row: dict[str, ComparisonVerdict] = {}
-        for i, p_cn in zip(others, p_cn_adj):
-            model_vals = sign * m.values[:, i]
-            delta, magnitude = cliffs_delta(model_vals, bench_vals)
-            ci = bootstrap_ci(model_vals, bench_vals, replicates, confidence, seed)
+        for i, p_cn, vals, ci in zip(others, p_cn_adj, model_vals, cis):
+            delta, magnitude = cliffs_delta(vals, bench_vals)
             if p_fr < alpha and p_cn < alpha and delta > 0.0:
                 outcome = "win"
             elif p_fr < alpha and p_cn < alpha and delta < 0.0:

@@ -10,7 +10,8 @@ Reserved purpose codes:
 * ``REMOVAL_STREAM``  -- per-view feature removal; index = 0-based view number
 * ``HOLDOUT_STREAM``  -- validation holdout used for ensemble weights
 * ``BOOTSTRAP_STREAM``-- bootstrap resampling; no index: each bootstrap_ci
-  call draws every replicate from this one stream, in blocks of
+  call, and each metric of win_tie_loss (whose models share the draw),
+  draws every replicate from this one stream, in blocks of
   ``evalstats.BOOTSTRAP_BLOCK`` (see ``evalstats.bootstrap_ci``)
 """
 

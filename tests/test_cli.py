@@ -5,6 +5,7 @@ tmp_path; only the start-up import check runs a fresh interpreter.
 """
 
 import csv
+import hashlib
 import json
 import math
 import os
@@ -648,6 +649,23 @@ class TestDiagnoseCommand:
         log = read_json(tmp_path / "run_log.json")
         assert "diagnose" in log and "partition" in log
 
+    def test_criteria_met_rows_follow_the_identity(self, workdir):
+        """Once view a holds H(S_a,Y) = H(F,Y), (S_a, Y) fixes every code,
+        so I(S_a;S_b|Y) = H(S_b,Y) - H(Y) for every view b."""
+        tmp_path, csv_path = workdir
+        assert main(partition_argv(csv_path, tmp_path, **{"--views": "3"})) == 0
+        assert main(["diagnose", "--out", str(tmp_path)]) == 0
+        views = read_json(tmp_path / "views.json")["views"]
+        report = read_json(tmp_path / "independence.json")
+        cmi, h_y = report["pairwise_cmi"], report["h_y"]
+        met = [a for a, v in enumerate(views) if v["termination"] == "criteria_met"]
+        assert len(met) == 2 and views[2]["termination"] == "pool_exhausted"
+        for a in met:
+            for b, view in enumerate(views):
+                expected = view["h_sy"] - h_y
+                assert abs(cmi[a][b] - expected) <= 1e-12, (a, b)
+                assert abs(cmi[b][a] - expected) <= 1e-12, (b, a)
+
     def test_missing_views_file_exits_3(self, tmp_path):
         assert main(["diagnose", "--out", str(tmp_path)]) == 3
 
@@ -752,6 +770,32 @@ class TestViewsFileIndices:
         log = (tmp_path / "run_log.json").read_bytes()
         assert main([command, "--out", str(tmp_path)]) == 2
         assert f"error: {key} {message}" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == before
+        assert (tmp_path / "run_log.json").read_bytes() == log
+
+    @pytest.mark.parametrize("command", ["evaluate", "diagnose"])
+    @pytest.mark.parametrize("version,message", [
+        (99, f"must be in [1, {FORMAT_VERSION}], got 99"),
+        (0, f"must be in [1, {FORMAT_VERSION}], got 0"),
+        (FORMAT_VERSION - 1, f"{FORMAT_VERSION - 1} differs from its config's {FORMAT_VERSION}"),
+        ("5", "must be int, got '5'"),
+        (None, "must be int, got None"),
+    ], ids=["newer", "zero", "older_than_config", "string", "absent"])
+    def test_top_level_format_version_checked(self, partitioned, capsys, command, version,
+                                              message):
+        tmp_path, _ = partitioned
+        views_path = tmp_path / "views.json"
+        doc = read_json(views_path)
+        assert doc["config"]["format_version"] == FORMAT_VERSION
+        if version is None:
+            del doc["format_version"]
+        else:
+            doc["format_version"] = version
+        views_path.write_text(json.dumps(doc), encoding="utf-8")
+        before = sorted(tmp_path.iterdir())
+        log = (tmp_path / "run_log.json").read_bytes()
+        assert main([command, "--out", str(tmp_path)]) == 2
+        assert f"error: views file format_version {message}" in capsys.readouterr().err
         assert sorted(tmp_path.iterdir()) == before
         assert (tmp_path / "run_log.json").read_bytes() == log
 
@@ -876,8 +920,9 @@ class TestStatsCommand:
                 assert verdict["ci"] == [1.0, 1.0]
                 assert verdict["p_conover_adj"] == 0.0
 
-        log = read_json(tmp_path / "run_log.json")
-        assert "stats" in log
+        log = read_json(tmp_path / "run_log.json")["stats"]
+        assert log["comparisons"] == 4  # 2 metrics x 2 models
+        assert log["bootstrap_blocks_drawn"] == 2 * 4  # 200 replicates: 3 x 64 + 8
 
     def test_friedman_runs_once_per_metric(self, matrices, monkeypatch):
         tmp_path = matrices
@@ -902,6 +947,36 @@ class TestStatsCommand:
         first = (tmp_path / "verdicts.json").read_bytes()
         assert main(argv) == 0
         assert (tmp_path / "verdicts.json").read_bytes() == first
+
+    # SHA-256 of the verdicts.json that format 5 writes for each fixture; a
+    # change to how the intervals are computed must leave these bytes alone
+    PINNED = {
+        "separated": "21f6e368570d92ceba77c2b3fe20e5599e2ad5fde2372034925736d5170063bd",
+        "overlapping": "4193fb51d5f189c9c98c3826c62e1d82b0fc057b75be9061f1661123d6b09847",
+    }
+
+    def test_verdicts_bytes_pinned(self, matrices):
+        tmp_path = matrices
+        assert main(self.stats_argv(tmp_path)) == 0
+        data = (tmp_path / "verdicts.json").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == self.PINNED["separated"]
+
+    def test_overlapping_verdicts_bytes_pinned(self, tmp_path):
+        # ties within and across columns, and two run counts (12 and 9)
+        write_matrix_csv(tmp_path / "acc.csv", {
+            "ours": [(7 * i % 11) / 4 for i in range(12)],
+            "other": [(5 * i % 7) / 2 for i in range(12)],
+            "base": [(3 * i % 13) / 4 for i in range(12)],
+        })
+        write_matrix_csv(tmp_path / "loss.csv", {
+            "ours": [(i * i % 5) / 8 for i in range(9)],
+            "other": [(4 * i % 9) / 8 for i in range(9)],
+            "base": [(2 * i % 7) / 8 for i in range(9)],
+        })
+        argv = self.stats_argv(tmp_path, **{"--bootstrap": 500, "--seed": 3})
+        assert main(argv) == 0
+        data = (tmp_path / "verdicts.json").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == self.PINNED["overlapping"]
 
     def test_identical_columns_give_ties(self, tmp_path, capsys):
         col = [float(i) for i in range(8)]

@@ -268,7 +268,8 @@ class TestDiscretize:
         coded = discretize(d, bins=10)
         assert coded.codes[:, 0].tolist() == [0, 1, 0, 2]
         assert coded.cardinalities[0] == 3
-        assert coded.bin_edges[0].size == 0
+        col = d.features[:, 0]
+        assert coded.codes[:, 0].tolist() == np.searchsorted(np.unique(col), col).tolist()
 
     def test_wide_integral_column_is_binned(self):
         vals = np.arange(100.0).reshape(-1, 1)

@@ -29,7 +29,7 @@ from spfp.evalstats import (
     midranks,
     win_tie_loss,
 )
-from spfp.evalstats import _chi2_sf, _magnitude, _t_sf
+from spfp.evalstats import _chi2_sf, _dominance, _magnitude, _resample_counts, _t_sf
 from spfp.seeding import BOOTSTRAP_STREAM, substream
 
 
@@ -425,9 +425,47 @@ class TestBootstrapCi:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # about 0.9 MB here, most of it building the 200 x 200 sign matrix; one
-        # block of per-replicate sign matrices alone would take 20 MB
+        # about 0.8 MB here: the 10,000 deltas and one 64-replicate block's
+        # count, running-count and gathered arrays; one block of per-replicate
+        # sign matrices alone would take 20 MB
         assert peak < 2 * 2**20
+
+
+class TestDominanceKernel:
+    """The running-count kernel against the sign-matrix form it replaced,
+    ``einsum("ri,ij,rj->r", wa, sign(a_i - b_j), wb)``, and against
+    cliffs_delta on each replicate's resampled values."""
+
+    @pytest.mark.parametrize("samples,b", [
+        ([[0, 1, 1, 2, 3, 3, 3, 2, 0]], [1, 1, 0, 3, 3, 2, 4, 1, 1, 2, 0, 3]),  # ties
+        ([[0, 1, 2, 2, 3, 1, 1], [3, 3, 0, 1, 2, 2, 0]], [2] * 3 + [1] * 7 + [0] * 30),
+        ([[1.5]], [0.5, 1.5, 2.5, 1.5]),  # n = 1 on the sample side
+        ([[0.5, 1.5, 2.5, 1.5], [1, 2, 3, 4]], [1.5]),  # n = 1 on the benchmark side
+        ([[7.0] * 5, [6.0] * 5, [8.0] * 5], [7.0] * 6),  # constant samples
+        ([np.linspace(-1, 1, 12)], np.linspace(-0.5, 1.5, 12)),  # no ties
+    ])
+    def test_equals_sign_matrix_and_cliffs_delta(self, samples, b):
+        samples = np.asarray(samples, dtype=np.float64)
+        b = np.asarray(b, dtype=np.float64)
+        (k, n_a), n_b = samples.shape, b.size
+        order = np.argsort(b)
+        below = np.searchsorted(b[order], samples, side="left")
+        not_above = np.searchsorted(b[order], samples, side="right")
+        stream = substream(3, BOOTSTRAP_STREAM)
+        ia = stream.integers(0, n_a, (BOOTSTRAP_BLOCK, n_a))
+        ib = stream.integers(0, n_b, (BOOTSTRAP_BLOCK, n_b))
+        wa, wb = _resample_counts(ia), _resample_counts(ib)
+        assert (wa.sum(axis=1) == n_a).all() and (wb.sum(axis=1) == n_b).all()
+        dominance = _dominance(wa, wb[:, order], below, not_above)
+        assert dominance.shape == (BOOTSTRAP_BLOCK, k)
+        assert dominance.dtype == np.int64
+        for s, a in enumerate(samples):
+            signs = np.sign(a[:, None] - b[None, :]).astype(np.int64)
+            einsum = np.einsum("ri,ij,rj->r", wa, signs, wb)
+            assert dominance[:, s].tolist() == einsum.tolist()
+            for r in range(BOOTSTRAP_BLOCK):
+                delta = cliffs_delta(a[ia[r]], b[ib[r]])[0]
+                assert dominance[r, s] / (n_a * n_b) == delta
 
 
 def dominance_matrix(n=30, better_by=1.0, names=("bench", "model")):
@@ -502,6 +540,25 @@ class TestWinTieLoss:
             "outcome", "delta", "magnitude", "ci", "p_friedman_adj", "p_conover_adj"
         }
         assert isinstance(d["ci"], list)
+
+    def test_intervals_equal_separate_bootstrap_calls(self):
+        """One draw per metric gives each model the interval of its own
+        bootstrap_ci call, metric by metric, whatever the run count."""
+        rng = np.random.default_rng(16)
+        names = ["bench", "m1", "m2", "m3"]
+        matrices = {
+            "acc": RunMatrix(rng.normal(size=(12, 4)), names),
+            "loss": RunMatrix(rng.integers(0, 3, (7, 4)).astype(float), names,
+                              higher_is_better=False),  # ties, fewer runs
+            "f1": RunMatrix(rng.normal(size=(30, 4)), names),
+        }
+        table = win_tie_loss(matrices, "bench", replicates=300, confidence=0.9, seed=4)
+        for name, m in matrices.items():
+            sign = 1.0 if m.higher_is_better else -1.0
+            bench = sign * m.values[:, 0]
+            for j in (1, 2, 3):
+                expected = bootstrap_ci(sign * m.values[:, j], bench, 300, 0.9, 4)
+                assert table[name][names[j]].ci == expected, (name, j)
 
     def test_errors(self):
         m = dominance_matrix()
