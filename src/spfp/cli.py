@@ -55,7 +55,7 @@ from .seeding import HOLDOUT_STREAM
 
 __all__ = ["RunConfig", "main", "build_parser", "FORMAT_VERSION"]
 
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
 EXIT_OK, EXIT_CONFIG, EXIT_DATA, EXIT_INTERNAL = 0, 2, 3, 4
 
 
@@ -98,6 +98,7 @@ class RunConfig(SpfpConfig):
                 kind = "a finite float" if f.type == "float" else f.type
                 raise ConfigError(f"config key {f.name!r} must be {kind}, got {value!r}")
         version = doc.get("format_version", 1)
+        require("format_version", version, _KEYS["format_version"].metadata["allowed"])
         if version < 2:
             # Format 1 carried the thread count of a since-removed pool;
             # it never changed a result.
@@ -107,9 +108,10 @@ class RunConfig(SpfpConfig):
             doc = {**doc, "discretizer": "equal_frequency"}
         if version < FORMAT_VERSION:
             # Format 3 changed only the bootstrap intervals of `stats`,
-            # format 4 only its p-values and format 5 only how the built-in
-            # model is trained; no config key selects any of them, so older
-            # configs read as current. A newer one fails the key's range.
+            # format 4 only its p-values, format 5 only how the built-in
+            # model is trained and format 6 only the last bits of entropies;
+            # no config key selects any of them, so older configs read as
+            # current.
             doc = {**doc, "format_version": FORMAT_VERSION}
         known = {f.name for f in fields(cls)}
         unknown = set(doc) - known

@@ -53,44 +53,32 @@ def _check_same_length(*columns: np.ndarray) -> int:
     return columns[0].shape[0]
 
 
-def _entropy_from_counts(counts: np.ndarray) -> float:
-    """Shannon entropy in bits of a count vector (zeros ignored).
+def _entropies(counts: np.ndarray) -> np.ndarray:
+    """Plug-in entropy in bits of every row of a 2-D count table.
 
-    Counts are sorted before summation so the result depends only on the
-    count multiset, never on grouping order; this is what makes entropy
-    paths (refinement vs direct counting) and symmetric quantities
-    (I(X;Y) vs I(Y;X)) agree bit-for-bit.
+    A row's entropy is summed over its count profile: the occupied counts k
+    in ascending order, each contributing m_k * -(p log2 p) at p = k/total,
+    where m_k is the number of the row's cells that hold k. The bits depend
+    only on the row's count multiset, never on cell order, empty cells or
+    the other rows, which keeps refinement and direct counting, and I(X;Y)
+    and I(Y;X), equal bit for bit. Every row must hold a positive count.
     """
-    counts = np.sort(counts[counts > 0])
-    total = counts.sum()
-    p = counts / total
-    return float(-(p * np.log2(p)).sum())
-
-
-def _entropy_terms(total: int) -> np.ndarray:
-    """-(p log2 p) for p = c/total, c = 0..total, computed as
-    `_entropy_from_counts` computes each term (entry 0 is unused)."""
-    p = np.arange(total + 1) / total
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return -(p * np.log2(p))
-
-
-def _row_entropies(counts: np.ndarray, terms: np.ndarray) -> np.ndarray:
-    """`_entropy_from_counts` of every row of a 2-D count table, bit-for-bit.
-
-    Every row must sum to the total `terms` was built for. Each row's sum
-    runs over exactly its sorted nonzero tail, because the pairwise
-    summation order depends on the summed length.
-    """
-    counts = np.sort(counts, axis=1)
-    first = np.count_nonzero(counts == 0, axis=1)  # zeros sort first
-    row_terms = terms[counts]
-    return np.array([row_terms[r, s:].sum() for r, s in enumerate(first.tolist())])
-
-
-def _combine(a: np.ndarray, b: np.ndarray, card_b: int) -> np.ndarray:
-    """Joint key of two code columns; not dense, bounded by card(a)*card(b)."""
-    return a * card_b + b
+    n_rows, n_cells = counts.shape
+    top = int(counts.max()) + 1
+    key = np.arange(n_rows)[:, None] * top + counts
+    # Count the (row, k) profile densely while its n_rows x top cells are no
+    # more than the table's, else from the occupied keys alone: both give
+    # the same (row, k, m_k) in the same order.
+    if top <= n_cells:
+        profile = np.bincount(key.ravel(), minlength=n_rows * top).reshape(n_rows, top)
+        profile[:, 0] = 0
+        rows, k = np.nonzero(profile)
+        m = profile[rows, k]
+    else:
+        keys, m = np.unique(key[counts > 0], return_counts=True)
+        rows, k = np.divmod(keys, top)
+    p = k / counts.sum(axis=1)[rows]
+    return np.add.reduceat(m * -(p * np.log2(p)), np.searchsorted(rows, np.arange(n_rows)))
 
 
 @dataclass
@@ -138,7 +126,7 @@ class RowPartition:
         if self.n_groups == n_rows:  # singletons cannot split
             return self
         card = int(codes.max()) + 1
-        key = _combine(self.group_id, codes, card)
+        key = self.group_id * card + codes
         # Dense recode: occupied keys -> 0..n_groups-1, preserving key order.
         # When the n_groups * card cells outnumber the rows, sorting the keys
         # costs less memory than counting every cell, and gives the same order.
@@ -158,13 +146,13 @@ class RowPartition:
         )
 
     def entropy(self) -> float:
-        return _entropy_from_counts(self.group_sizes)
+        return float(_entropies(self.group_sizes[None])[0])
 
 
 def entropy(column) -> float:
     """Shannon entropy H of one coded column, in bits."""
     codes = _as_codes(column)
-    return _entropy_from_counts(np.bincount(codes))
+    return float(_entropies(np.bincount(codes)[None])[0])
 
 
 def joint_entropy(columns) -> float:
@@ -252,12 +240,15 @@ class PairCache:
         self._n = self._cols.shape[1]
         self._t_card = int(self._target.max()) + 1
         self._h_target = entropy(self._target)
-        self._terms = _entropy_terms(self._n)
-        self._h_feat = np.array([_entropy_from_counts(np.bincount(c)) for c in self._cols])
-        self._h_feat_t = np.array([
-            _entropy_from_counts(np.bincount(_combine(c, self._target, self._t_card)))
-            for c in self._cols
-        ])
+        # each feature's codes, then its (code, Y) keys, offset into a block of its own
+        n_feat, k = self._cols.shape[0], int(self._cards.max())
+        key = self._cols + np.arange(n_feat)[:, None] * k
+        counts = np.bincount(key.ravel(), minlength=n_feat * k)
+        self._h_feat = _entropies(counts.reshape(n_feat, k))
+        key *= self._t_card
+        key += self._target
+        counts = np.bincount(key.ravel(), minlength=n_feat * k * self._t_card)
+        self._h_feat_t = _entropies(counts.reshape(n_feat, -1))
         self._winner: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     @property
@@ -303,8 +294,8 @@ class PairCache:
             key = self._cols[lo:hi] + (wy * k + offsets)
             counts = np.bincount(key.ravel(), minlength=(hi - lo) * cells)
             counts = counts.reshape(hi - lo, k_w, n_y, k)
-            h_wcy[lo:hi] = _row_entropies(counts.reshape(hi - lo, -1), self._terms)
-            h_wc[lo:hi] = _row_entropies(counts.sum(axis=2).reshape(hi - lo, -1), self._terms)
+            h_wcy[lo:hi] = _entropies(counts.reshape(hi - lo, -1))
+            h_wc[lo:hi] = _entropies(counts.sum(axis=2).reshape(hi - lo, -1))
         h_f, h_fy = self._h_feat, self._h_feat_t
         mi = np.maximum(0.0, h_f[w] + h_f - h_wc)
         cmi = np.maximum(0.0, h_fy[w] + h_fy - h_wcy - self._h_target)

@@ -98,6 +98,18 @@ class TestRunConfig:
         rc = RunConfig.from_dict({"input": "a.csv", "target": "y", "format_version": 2})
         assert rc == RunConfig(input="a.csv", target="y")
 
+    @pytest.mark.parametrize("version", [0, -3, FORMAT_VERSION + 1])
+    def test_format_version_out_of_range_rejected(self, version):
+        doc = {"input": "a.csv", "target": "y", "format_version": version}
+        with pytest.raises(ConfigError, match=re.escape(
+                f"format_version must be in [1, {FORMAT_VERSION}], got {version}")):
+            RunConfig.from_dict(doc)
+
+    def test_readme_names_the_current_format(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        found = re.findall(r"Artifacts carry `format_version` (\d+)", readme)
+        assert found == [str(FORMAT_VERSION)]
+
     def test_format_2_config_rejects_workers(self):
         doc = {"input": "a.csv", "target": "y", "workers": 4, "format_version": 2}
         with pytest.raises(ConfigError, match="unknown config keys.*workers"):
@@ -290,7 +302,7 @@ class TestPartitionCommand:
         assert "workers" not in config
         assert config["format_version"] == FORMAT_VERSION
 
-    @pytest.mark.parametrize("version", [2, 3, 4])
+    @pytest.mark.parametrize("version", [2, 3, 4, 5])
     def test_older_views_file_runs_evaluate_and_diagnose(self, partitioned, version):
         tmp_path, _ = partitioned
         doc = read_json(tmp_path / "views.json")
@@ -758,6 +770,8 @@ class TestViewsFileIndices:
         ("max_iters", -3, "must be >= 1, got -3"),
         ("opt_tol", -1.0, "must be positive, got -1.0"),
         ("format_version", 99, f"must be in [1, {FORMAT_VERSION}], got 99"),  # a newer format
+        ("format_version", 0, f"must be in [1, {FORMAT_VERSION}], got 0"),
+        ("format_version", -3, f"must be in [1, {FORMAT_VERSION}], got -3"),
     ])
     def test_out_of_range_config_value_exits_2(self, partitioned, capsys, command, key,
                                                value, message):
@@ -948,11 +962,11 @@ class TestStatsCommand:
         assert main(argv) == 0
         assert (tmp_path / "verdicts.json").read_bytes() == first
 
-    # SHA-256 of the verdicts.json that format 5 writes for each fixture; a
+    # SHA-256 of the verdicts.json that format 6 writes for each fixture; a
     # change to how the intervals are computed must leave these bytes alone
     PINNED = {
-        "separated": "21f6e368570d92ceba77c2b3fe20e5599e2ad5fde2372034925736d5170063bd",
-        "overlapping": "4193fb51d5f189c9c98c3826c62e1d82b0fc057b75be9061f1661123d6b09847",
+        "separated": "9cea2b32f97af5f35aac45defc15fae145e2bbb3af43e5c18251b2f58b850090",
+        "overlapping": "c770895a9656329721f796d273009622476f43c99ebf38475fc58b436f159529",
     }
 
     def test_verdicts_bytes_pinned(self, matrices):

@@ -7,11 +7,14 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from spfp.infometrics import (
     PairCache,
     RowPartition,
+    _entropies,
     conditional_entropy,
     conditional_mutual_information,
     entropy,
@@ -82,6 +85,50 @@ class TestEntropy:
             entropy(np.array([0, -1]))
         with pytest.raises(ValueError):
             entropy(np.zeros((2, 2), dtype=int))
+
+
+count_rows = st.lists(st.integers(0, 60), min_size=1, max_size=30).filter(any)
+
+
+def row_entropy(row) -> float:
+    """`_entropies` of one count row, called as a one-row table."""
+    return _entropies(np.array([row]))[0]
+
+
+class TestEntropies:
+    """The plug-in entropy is a function of a row's count multiset alone."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(row=count_rows, data=st.data())
+    def test_equal_under_permutation(self, row, data):
+        assert row_entropy(data.draw(st.permutations(row))) == row_entropy(row)
+
+    @settings(max_examples=100, deadline=None)
+    @given(row=count_rows, extra=st.integers(1, 200))
+    def test_equal_with_empty_cells_appended(self, row, extra):
+        # enough empty cells move a row from the sparse to the dense profile count
+        assert row_entropy(row + [0] * extra) == row_entropy(row)
+
+    @settings(max_examples=100, deadline=None)
+    @given(row=count_rows, data=st.data())
+    def test_equal_beside_a_larger_maximum(self, row, data):
+        row = row + [0] * max(row)  # alone: max(row) + 1 <= width, the dense count
+        width = len(row)
+        big = data.draw(st.integers(width, 10 * width))  # > width: the sparse count
+        other = data.draw(st.permutations([big] + [0] * (width - 1)))
+        table = np.array([other, row, other])
+        assert _entropies(table)[1] == row_entropy(row)
+        assert_allclose(row_entropy(row), oracle_entropy(np.repeat(np.arange(width), row)),
+                        atol=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=st.lists(count_rows, min_size=2, max_size=8))
+    def test_one_row_call_equals_row_in_table(self, rows):
+        width = max(len(r) for r in rows)
+        table = np.array([r + [0] * (width - len(r)) for r in rows])
+        whole = _entropies(table)
+        for i, row in enumerate(rows):
+            assert whole[i] == row_entropy(row)
 
 
 class TestJointEntropy:
