@@ -5,6 +5,11 @@ trains per-view baseline models (or ingests imported probability CSVs) and
 reports metrics for views, prefix ensembles, and the all-features
 benchmark, `diagnose` checks the pairwise conditional-independence
 assumption, `stats` runs the rank-based comparison over run matrices.
+Each command imports only the modules it runs.
+
+`partition` leaves a parse cache beside views.json: the parsed table and
+the training rows' codes, which `evaluate` and `diagnose` read instead of
+the CSV while its key matches. It is not an artifact and is safe to delete.
 
 All JSON artifacts are deterministic byte-for-byte under identical inputs
 and seed: wall-clock values never enter them and land in the run_log.json
@@ -16,30 +21,25 @@ from __future__ import annotations
 
 import argparse
 import csv
+import hashlib
 import json
 import math
+import shutil
 import sys
 import time
 import warnings
 from dataclasses import asdict, dataclass, fields, replace
 from functools import partial
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .dataset import (
-    MISSING_POLICIES, Dataset, SplitSpec, _file_errors, discretize, load_csv, split, split_rows,
-)
-from .ensemble import (
-    ProbModel,
-    ensemble_predict,
-    metrics,
-    normalized_weights,
-    predict_proba,
-    train_builtin,
+    MISSING_POLICIES, CodedMatrix, Dataset, SplitSpec, _file_errors, discretize, load_csv, split,
+    split_rows,
 )
 from .errors import ConfigError, DataError, SpfpError
-from .evalstats import BOOTSTRAP_BLOCK, RunMatrix, win_tie_loss
 from .partitioning import (
     FRACTION,
     MIN_COUNT,
@@ -52,6 +52,10 @@ from .partitioning import (
     view_stats,
 )
 from .seeding import HOLDOUT_STREAM
+
+if TYPE_CHECKING:
+    from .ensemble import ProbModel
+    from .evalstats import RunMatrix
 
 __all__ = ["RunConfig", "main", "build_parser", "FORMAT_VERSION"]
 
@@ -151,17 +155,92 @@ def _update_run_log(out: Path, command: str, entry: dict) -> None:
     _write_json(path, log)
 
 
-def _load_and_split(rc: RunConfig) -> tuple[Dataset, Dataset, Dataset]:
-    d = load_csv(rc.input, rc.target, missing_policy=rc.missing_policy)
+# ---------------------------------------------------------------------------
+# loading: from the parse cache or the CSV
+
+CACHE_DIR = ".spfp_cache"
+# The config keys the cached values depend on; with the SHA-256 of the CSV
+# and FORMAT_VERSION they are the cache's key.
+_CACHE_KEYS = ("target", "missing_policy", "test_fraction", "seed", "bins", "discretizer")
+
+
+def _cache_key(rc: RunConfig) -> dict | None:
+    """The key of the values parsed from `rc`'s CSV; None if it cannot be read."""
+    digest = hashlib.sha256()
+    try:
+        with open(rc.input, "rb") as fh:
+            while chunk := fh.read(1 << 20):
+                digest.update(chunk)
+    except OSError:
+        return None
+    return {"sha256": digest.hexdigest(), "format_version": FORMAT_VERSION,
+            **{k: getattr(rc, k) for k in _CACHE_KEYS}}
+
+
+def _save_cache(cache: Path, arrays: dict, meta: dict | None = None) -> None:
+    """Save `arrays` as .npy files, then `meta` as key.json, which makes the
+    cache valid. key.json is removed first, so a cache in the middle of a
+    write reads as a miss; a cache that cannot be written is removed."""
+    try:
+        cache.mkdir(parents=True, exist_ok=True)
+        (cache / "key.json").unlink(missing_ok=True)
+        for name, a in arrays.items():
+            np.save(cache / f"{name}.npy", a, allow_pickle=False)
+        if meta is not None:
+            _write_json(cache / "key.json", meta)
+    except OSError:
+        shutil.rmtree(cache, ignore_errors=True)
+
+
+def _read_cache(cache: Path, rc: RunConfig, *names: str) -> tuple[dict, dict] | None:
+    """key.json and the arrays `names` of the cache, if its key is `rc`'s;
+    None, a miss, if the cache is absent, stale, unreadable or malformed."""
+    try:
+        meta = json.loads((cache / "key.json").read_text(encoding="utf-8"))
+        key = _cache_key(rc)
+        if key is None or meta["key"] != key:
+            return None
+        n, n_train, width = meta["n_rows"], meta["n_train_rows"], len(meta["feature_names"])
+        expected = {  # dtype and shape: the parsed table, then the training rows
+            "features": (np.float64, (n, width)), "target": (np.intp, (n,)),
+            "codes": (np.intp, (n_train, width)), "cardinalities": (np.intp, (width,)),
+            "train_target": (np.intp, (n_train,)),
+        }
+        arrays = {}
+        for name in names:
+            a = np.load(cache / f"{name}.npy", allow_pickle=False)
+            if (a.dtype, a.shape) != expected[name]:
+                return None
+            arrays[name] = a
+    except (OSError, EOFError, ValueError, KeyError, TypeError):
+        return None
+    return meta, arrays
+
+
+def _load_and_split(rc: RunConfig, cache: Path) -> tuple[Dataset, Dataset, Dataset, dict]:
+    """The dataset, from the parse cache when its key matches, its split,
+    and the load counters and the cache's outcome for run_log.json."""
+    hit = _read_cache(cache, rc, "features", "target")
+    if hit is None:
+        d = load_csv(rc.input, rc.target, missing_policy=rc.missing_policy)
+        load_log = {**_load_counters(d), "parse_cache": "miss"}
+    else:
+        meta, arrays = hit
+        d = Dataset(arrays["features"], tuple(meta["feature_names"]), arrays["target"],
+                    tuple(meta["class_names"]))
+        load_log = {**meta["load_counters"], "parse_cache": "hit"}
     train, test = split(d, SplitSpec(rc.test_fraction, rc.seed))
-    return d, train, test
+    return d, train, test, load_log
 
 
-def _load_train(rc: RunConfig) -> tuple[Dataset, int, dict]:
+def _load_train(rc: RunConfig, cache: Path | None = None) -> tuple[Dataset, int, dict]:
     """The training rows of `_load_and_split`, the test row count and the
     load counters, without building the test rows or keeping the full
-    table: `partition` and `diagnose` read the training rows alone."""
+    table: `partition` and `diagnose` read the training rows alone. With
+    `cache`, the parsed table is saved there before it is dropped."""
     d = load_csv(rc.input, rc.target, missing_policy=rc.missing_policy)
+    if cache is not None:
+        _save_cache(cache, {"features": d.features, "target": d.target})
     train_idx, test_idx = split_rows(d, SplitSpec(rc.test_fraction, rc.seed))
     return d.subset(train_idx), test_idx.size, _load_counters(d)
 
@@ -171,8 +250,9 @@ def _load_counters(d: Dataset) -> dict:
     return {"rows_rejected": d.n_rejected_rows, "cells_imputed": d.n_imputed_cells}
 
 
-def _read_views_doc(args) -> tuple[dict, RunConfig]:
-    """The views file and its config, with the stage's flags applied."""
+def _read_views_doc(args) -> tuple[dict, RunConfig, Path]:
+    """The views file, its config with the stage's flags applied, and the
+    parse cache beside it."""
     path = Path(args.views_file) if args.views_file else Path(args.out) / "views.json"
     if not path.exists():
         raise DataError(f"views file not found: {path}")
@@ -194,14 +274,15 @@ def _read_views_doc(args) -> tuple[dict, RunConfig]:
         raise ConfigError(
             f"views file format_version {version} differs from its config's {config_version}"
         )
-    return doc, replace(rc, **_config_flags(args))
+    return doc, replace(rc, **_config_flags(args)), path.parent / CACHE_DIR
 
 
-def _view_ids(doc: dict, d: Dataset) -> list[list[int]]:
+def _view_ids(doc: dict, feature_names) -> list[list[int]]:
     """Each view's feature indices from a views file, checked against the
-    dataset the file is applied to."""
-    if list(d.feature_names) != list(doc.get("feature_names", d.feature_names)):
+    feature names of the dataset the file is applied to."""
+    if list(feature_names) != list(doc.get("feature_names", feature_names)):
         raise DataError("dataset columns do not match the views file")
+    n_features = len(feature_names)
     view_ids = []
     for g, v in enumerate(doc["views"], start=1):
         try:
@@ -211,13 +292,13 @@ def _view_ids(doc: dict, d: Dataset) -> list[list[int]]:
         valid = (
             isinstance(ids, list)
             and ids
-            and all(type(i) is int and 0 <= i < d.n_features for i in ids)
+            and all(type(i) is int and 0 <= i < n_features for i in ids)
             and len(set(ids)) == len(ids)
         )
         if not valid:
             raise DataError(
                 f"view {g} indices must be a non-empty list of ints in "
-                f"[0, {d.n_features}) without repeats, got {ids!r}"
+                f"[0, {n_features}) without repeats, got {ids!r}"
             )
         view_ids.append(ids)
     return view_ids
@@ -231,10 +312,19 @@ def cmd_partition(args) -> int:
     rc = RunConfig(**_config_flags(args))
     started = time.time()
     t0 = time.perf_counter()
-    train, n_test_rows, load_counters = _load_train(rc)
-    vs = partition(train, rc)
-
     out = Path(rc.out)
+    cache, key = out / CACHE_DIR, _cache_key(rc)
+    train, n_test_rows, load_counters = _load_train(rc, cache)
+    coded = discretize(train, rc.bins, rc.discretizer)
+    _save_cache(
+        cache,
+        {"codes": coded.codes, "cardinalities": coded.cardinalities, "train_target": train.target},
+        {"key": key, "n_rows": train.n_rows + n_test_rows, "n_train_rows": train.n_rows,
+         "feature_names": list(train.feature_names), "class_names": list(train.class_names),
+         "load_counters": load_counters},
+    )
+    vs = partition(train, rc, coded)
+
     views_json = {
         "format_version": FORMAT_VERSION,
         "config": rc.to_dict(),
@@ -277,6 +367,8 @@ def cmd_partition(args) -> int:
             "started_unix": started,
             "elapsed_seconds": time.perf_counter() - t0,
             "view_elapsed_seconds": list(vs.elapsed),
+            "winner_sweeps": vs.winner_sweeps,
+            "winner_memo_hits": vs.winner_memo_hits,
             **load_counters,
         },
     )
@@ -307,7 +399,7 @@ def _read_proba_csv(path: Path, n_rows: int, n_classes: int) -> np.ndarray:
     expected = ["row_id"] + [f"class_{c}" for c in range(n_classes)]
     try:
         with open(path, newline="", encoding="utf-8") as fh, _file_errors(path):
-            rows = list(csv.reader(fh))
+            rows = [row for row in csv.reader(fh) if row]  # blank lines are no records
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     if not rows or rows[0] != expected:
@@ -347,13 +439,17 @@ def _training_summary(model: ProbModel, max_iters: int) -> dict:
 
 
 def cmd_evaluate(args) -> int:
-    doc, rc = _read_views_doc(args)
+    from .ensemble import (
+        ensemble_predict, metrics, normalized_weights, predict_proba, train_builtin,
+    )
+
+    doc, rc, cache = _read_views_doc(args)
     started = time.time()
     t0 = time.perf_counter()
-    d, train, test = _load_and_split(rc)
-    view_ids = _view_ids(doc, d)
+    d, train, test, load_log = _load_and_split(rc, cache)
+    view_ids = _view_ids(doc, d.feature_names)
     n_views = len(view_ids)
-    n_classes, load_counters = d.n_classes, _load_counters(d)
+    n_classes = d.n_classes
     del d  # the models read only the split rows
 
     reports: dict[str, object] = {}
@@ -446,7 +542,7 @@ def cmd_evaluate(args) -> int:
             "started_unix": started,
             "elapsed_seconds": time.perf_counter() - t0,
             "model_elapsed_seconds": elapsed,
-            **load_counters,
+            **load_log,
         },
     )
 
@@ -469,14 +565,23 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
-    doc, rc = _read_views_doc(args)
+    doc, rc, cache = _read_views_doc(args)
     started = time.time()
     t0 = time.perf_counter()
-    train, _, load_counters = _load_train(rc)
-    view_ids = _view_ids(doc, train)
-    coded = discretize(train, rc.bins, rc.discretizer)
-    target = train.target
-    del train  # the report reads only the codes
+    hit = _read_cache(cache, rc, "codes", "cardinalities", "train_target")
+    if hit is None:
+        train, _, load_log = _load_train(rc)
+        load_log["parse_cache"] = "miss"
+        view_ids = _view_ids(doc, train.feature_names)
+        coded = discretize(train, rc.bins, rc.discretizer)
+        target = train.target
+        del train  # the report reads only the codes
+    else:
+        meta, arrays = hit
+        load_log = {**meta["load_counters"], "parse_cache": "hit"}
+        view_ids = _view_ids(doc, meta["feature_names"])
+        coded = CodedMatrix(arrays["codes"], arrays["cardinalities"])
+        target = arrays["train_target"]
     report = conditional_independence_report(
         view_ids, coded, target, tolerance=rc.entropy_tolerance
     )
@@ -491,7 +596,7 @@ def cmd_diagnose(args) -> int:
         {
             "started_unix": started,
             "elapsed_seconds": time.perf_counter() - t0,
-            **load_counters,
+            **load_log,
         },
     )
     cmi = np.asarray(report["pairwise_cmi"])
@@ -509,9 +614,11 @@ def cmd_diagnose(args) -> int:
 
 
 def _read_run_matrix(path: Path, lower_better: bool) -> RunMatrix:
+    from .evalstats import RunMatrix
+
     try:
         with open(path, newline="", encoding="utf-8") as fh, _file_errors(path):
-            rows = list(csv.reader(fh))
+            rows = [row for row in csv.reader(fh) if row]  # blank lines are no records
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     if len(rows) < 3:
@@ -531,6 +638,8 @@ def _read_run_matrix(path: Path, lower_better: bool) -> RunMatrix:
 
 
 def cmd_stats(args) -> int:
+    from .evalstats import BOOTSTRAP_BLOCK, win_tie_loss
+
     lower = set(args.lower_better or [])
     matrices: dict[str, RunMatrix] = {}
     for spec_item in args.matrix:

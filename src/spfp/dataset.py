@@ -65,7 +65,9 @@ class CodedMatrix:
     """Per-column small-integer codes with their cardinalities.
 
     Codes are dense: every value 0..card-1 occurs in column j, which has
-    ``cardinalities[j]`` of them.
+    ``cardinalities[j]`` of them. `discretize` stores them column-major, so
+    ``codes.T``, the feature-major layout the counting kernels read, is not
+    a copy.
     """
 
     codes: np.ndarray
@@ -312,7 +314,7 @@ def discretize(d: Dataset, bins: int = 10, strategy: str = "equal_frequency") ->
         raise ConfigError(f"unknown strategy {strategy!r}, expected one of {DISCRETIZERS}")
 
     n_cols = d.n_features
-    codes = np.empty((d.n_rows, n_cols), dtype=np.intp)
+    codes = np.empty((d.n_rows, n_cols), dtype=np.intp, order="F")
     cards = np.empty(n_cols, dtype=np.intp)
     for j in range(n_cols):
         col = d.features[:, j]

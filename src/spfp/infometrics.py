@@ -226,7 +226,8 @@ class PairCache:
 
     `winner_stats` computes a feature against every feature in one counting
     sweep; the greedy search calls it once per selected feature, and a
-    feature selected again in a later view reuses it.
+    feature selected again in a later view reuses it. `sweeps` counts the
+    sweeps made and `memo_hits` the calls that reused one.
     """
 
     def __init__(self, codes: np.ndarray, cardinalities, target) -> None:
@@ -250,6 +251,7 @@ class PairCache:
         counts = np.bincount(key.ravel(), minlength=n_feat * k * self._t_card)
         self._h_feat_t = _entropies(counts.reshape(n_feat, -1))
         self._winner: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self.memo_hits = 0
 
     @property
     def columns(self) -> np.ndarray:
@@ -278,6 +280,7 @@ class PairCache:
         """
         hit = self._winner.get(w)
         if hit is not None:
+            self.memo_hits += 1
             return hit
         n_feat = self._cols.shape[0]
         n_y, k_w = self._t_card, int(self._cards[w])
@@ -302,6 +305,10 @@ class PairCache:
         self._winner[w] = (mi, cmi)
         return self._winner[w]
 
+    @property
+    def sweeps(self) -> int:
+        return len(self._winner)
+
     def __len__(self) -> int:
         """Number of pair statistics computed."""
-        return self._cols.shape[0] * len(self._winner)
+        return self._cols.shape[0] * self.sweeps

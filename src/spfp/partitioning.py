@@ -144,6 +144,8 @@ class ViewSet:
     h_f: float
     h_fy: float
     n_features: int
+    winner_sweeps: int = 0  # distinct PairCache.winner_stats computations
+    winner_memo_hits: int = 0  # winner_stats calls that reused one
 
     @property
     def union_ids(self) -> list[int]:
@@ -324,14 +326,18 @@ def build_view(pool, ctx: _Context) -> View:
     )
 
 
-def partition(d: Dataset, config: SpfpConfig) -> ViewSet:
+def partition(d: Dataset, config: SpfpConfig, coded: CodedMatrix | None = None) -> ViewSet:
     """Run the full view-construction loop over a dataset.
 
     Views are built sequentially; after view g, round(remove_fraction *
     |view|) of its features (sampled without replacement from a per-view
     Philox substream of the master seed) leave the master feature space.
+    `coded`, when given, must be ``discretize(d, config.bins,
+    config.discretizer)``, computed by a caller that keeps the codes.
     """
-    ctx = _build_context(d, discretize(d, config.bins, config.discretizer), config)
+    if coded is None:
+        coded = discretize(d, config.bins, config.discretizer)
+    ctx = _build_context(d, coded, config)
     if ctx.n_f > d.n_features:
         raise ConfigError(
             f"resolved min_features {ctx.n_f} exceeds feature count {d.n_features}"
@@ -377,6 +383,8 @@ def partition(d: Dataset, config: SpfpConfig) -> ViewSet:
         h_f=ctx.h_f,
         h_fy=ctx.h_fy,
         n_features=d.n_features,
+        winner_sweeps=ctx.cache.sweeps,
+        winner_memo_hits=ctx.cache.memo_hits,
     )
 
 

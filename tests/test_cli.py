@@ -10,6 +10,7 @@ import json
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 import warnings
@@ -18,8 +19,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spfp import evalstats
-from spfp.cli import FORMAT_VERSION, RunConfig, _write_json, build_parser, cmd_evaluate, main
+from spfp import cli, evalstats
+from spfp.cli import (
+    CACHE_DIR, FORMAT_VERSION, RunConfig, _write_json, build_parser, cmd_evaluate, main,
+)
 from spfp.dataset import SplitSpec, load_csv, split
 from spfp.ensemble import metrics
 from spfp.evalstats import friedman
@@ -176,6 +179,22 @@ class TestStartup:
         assert done.stdout.splitlines()[-1] == "[]"
         assert (tmp_path / "verdicts.json").exists()
 
+    def test_partition_and_diagnose_import_no_models_or_statistics(self, workdir):
+        tmp_path, csv_path = workdir
+        commands = [[str(a) for a in partition_argv(csv_path, tmp_path)],
+                    ["diagnose", "--out", str(tmp_path)]]
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        code = ("import json, sys; from spfp.cli import main; "
+                "codes = [main(argv) for argv in json.loads(sys.argv[1])]; "
+                "print(sorted(m for m in sys.modules if m in ('spfp.ensemble', 'spfp.evalstats'))); "
+                "sys.exit(max(codes))")
+        done = subprocess.run([sys.executable, "-c", code, json.dumps(commands)], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "[]"
+        assert (tmp_path / "independence.json").exists()
+
 
 class TestPartitionCommand:
     def test_artifacts_and_stdout(self, workdir, capsys):
@@ -217,6 +236,10 @@ class TestPartitionCommand:
         log = read_json(tmp_path / "run_log.json")
         assert "partition" in log
         assert len(log["partition"]["view_elapsed_seconds"]) == 2
+        # view 1 takes 10 features, one sweep per step but the last; view 2
+        # takes 6 of the same features again, and its 5 calls reuse sweeps
+        assert log["partition"]["winner_sweeps"] == 9
+        assert log["partition"]["winner_memo_hits"] == 5
 
     def test_rerun_is_byte_identical(self, workdir):
         tmp_path, csv_path = workdir
@@ -641,6 +664,16 @@ class TestImportProba:
         assert rc == 3
         assert f"expected {n_test} rows" in capsys.readouterr().err
 
+    def test_trailing_blank_line_is_no_row(self, proba_dir, capsys):
+        tmp_path, pdir, _ = proba_dir
+        argv = ["evaluate", "--out", str(tmp_path), "--import-proba", str(pdir)]
+        assert main(argv) == 0
+        expected = (tmp_path / "metrics.json").read_bytes()
+        with open(pdir / "theta_2.csv", "a", encoding="utf-8") as fh:
+            fh.write("\n")
+        assert main(argv) == 0, capsys.readouterr().err
+        assert (tmp_path / "metrics.json").read_bytes() == expected
+
 
 class TestDiagnoseCommand:
     def test_report_artifact_and_stdout(self, partitioned, capsys):
@@ -693,6 +726,9 @@ class TestDiagnoseCommand:
 
 
 class TestViewsFileIndices:
+    """Checks of a views file against the dataset; `partition` left a parse
+    cache, so they run against the cached feature names."""
+
     @pytest.mark.parametrize("command", ["evaluate", "diagnose"])
     @pytest.mark.parametrize("indices", [[-1, 0], [0, 99], [0.5, 1], [], [True, 1], [0, 0]],
                              ids=["negative", "past_end", "float", "empty", "bool", "repeat"])
@@ -814,6 +850,15 @@ class TestViewsFileIndices:
         assert (tmp_path / "run_log.json").read_bytes() == log
 
 
+class TestViewsFileIndicesParsed(TestViewsFileIndices):
+    """The same checks against the feature names parsed from the CSV."""
+
+    @pytest.fixture()
+    def partitioned(self, partitioned):
+        shutil.rmtree(partitioned[0] / CACHE_DIR)
+        return partitioned
+
+
 class TestFlagRanges:
     @pytest.mark.parametrize("command,flag,value,message", [
         ("partition", "--views", "0", "n_views must be >= 1, got 0"),
@@ -843,6 +888,18 @@ class TestFlagRanges:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["toy.csv"]
 
 
+def write_missing_cells(csv_path: Path) -> None:
+    """Blank two feature cells and mark one target missing: 3 rows to drop,
+    or 2 cells to impute and 1 row to drop."""
+    lines = csv_path.read_text(encoding="utf-8").splitlines()
+    for row, column in [(3, 5), (40, 0)]:  # blank feature cells
+        cells = lines[row].split(",")
+        cells[column] = ""
+        lines[row] = ",".join(cells)
+    lines[60] = lines[60].rsplit(",", 1)[0] + ",NA"  # missing target
+    csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
 class TestRunLogLoadCounters:
     @pytest.mark.parametrize("policy,rejected,imputed", [
         ("drop", 3, 0),
@@ -850,14 +907,7 @@ class TestRunLogLoadCounters:
     ])
     def test_counters_in_every_loading_command(self, workdir, policy, rejected, imputed):
         tmp_path, csv_path = workdir
-        lines = csv_path.read_text(encoding="utf-8").splitlines()
-        for row, column in [(3, 5), (40, 0)]:  # blank feature cells
-            cells = lines[row].split(",")
-            cells[column] = ""
-            lines[row] = ",".join(cells)
-        lines[60] = lines[60].rsplit(",", 1)[0] + ",NA"  # missing target
-        csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
+        write_missing_cells(csv_path)
         argv = partition_argv(csv_path, tmp_path, **{"--missing-policy": policy})
         assert main(argv) == 0
         assert main(["evaluate", "--out", str(tmp_path)]) == 0
@@ -866,6 +916,134 @@ class TestRunLogLoadCounters:
         for command in ("partition", "evaluate", "diagnose"):
             assert log[command]["rows_rejected"] == rejected, command
             assert log[command]["cells_imputed"] == imputed, command
+
+class TestParseCache:
+    """`partition` leaves the parsed table and the training rows' codes
+    beside views.json; `evaluate` and `diagnose` read them while the key
+    matches and parse the CSV otherwise, with the same results."""
+
+    @staticmethod
+    def stages(tmp_path: Path) -> tuple[dict, dict]:
+        """Run `evaluate` (built-in, and imported from another directory),
+        then `diagnose`: their artifacts' bytes and their run-log loading entries."""
+        rc = RunConfig.from_dict(read_json(tmp_path / "views.json")["config"])
+        d = load_csv(rc.input, rc.target, missing_policy=rc.missing_policy)
+        n_test = split(d, SplitSpec(rc.test_fraction, rc.seed))[1].n_rows
+        pdir, imp = tmp_path / "proba", tmp_path / "import"
+        pdir.mkdir(exist_ok=True)
+        rng = np.random.default_rng(5)
+        for name in ("theta_1", "theta_2", "All"):
+            write_proba_csv(pdir / f"{name}.csv", rng.uniform(0.05, 0.95, size=n_test))
+        assert main(["evaluate", "--out", str(tmp_path)]) == 0
+        assert main(["evaluate", "--views-file", str(tmp_path / "views.json"),
+                     "--import-proba", str(pdir), "--out", str(imp)]) == 0
+        assert main(["diagnose", "--out", str(tmp_path)]) == 0
+        artifacts = {path: path.read_bytes() for path in
+                     (tmp_path / "metrics.json", imp / "metrics.json", tmp_path / "independence.json")}
+        keys = ("rows_rejected", "cells_imputed", "parse_cache")
+        logs = {f"{command}{where}": {k: read_json(out / "run_log.json")[command][k] for k in keys}
+                for command, where, out in [("evaluate", "", tmp_path), ("evaluate", " import", imp),
+                                            ("diagnose", "", tmp_path)]}
+        return artifacts, logs
+
+    @staticmethod
+    def outcomes(logs: dict) -> dict:
+        return {stage: entry.pop("parse_cache") for stage, entry in logs.items()}
+
+    ALL_HIT = {"evaluate": "hit", "evaluate import": "hit", "diagnose": "hit"}
+    ALL_MISS = {"evaluate": "miss", "evaluate import": "miss", "diagnose": "miss"}
+
+    @pytest.mark.parametrize("policy", ["error", "drop", "median"])
+    def test_hit_and_miss_give_identical_results(self, workdir, policy):
+        tmp_path, csv_path = workdir
+        if policy != "error":
+            write_missing_cells(csv_path)
+        assert main(partition_argv(csv_path, tmp_path, **{"--missing-policy": policy})) == 0
+        hit, hit_logs = self.stages(tmp_path)
+        shutil.rmtree(tmp_path / CACHE_DIR)
+        miss, miss_logs = self.stages(tmp_path)
+        assert self.outcomes(hit_logs) == self.ALL_HIT
+        assert self.outcomes(miss_logs) == self.ALL_MISS
+        assert hit == miss
+        assert hit_logs == miss_logs
+
+    def test_changed_cell_is_a_miss(self, partitioned):
+        tmp_path, csv_path = partitioned
+        cached, _ = self.stages(tmp_path)
+        lines = csv_path.read_text(encoding="utf-8").splitlines()
+        lines[1] = lines[1].rsplit(",", 1)[0] + ",pos"  # a "neg" row relabelled
+        csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        changed, logs = self.stages(tmp_path)
+        assert self.outcomes(logs) == self.ALL_MISS
+        shutil.rmtree(tmp_path / CACHE_DIR)
+        fresh, _ = self.stages(tmp_path)
+        assert changed == fresh
+        assert changed != cached
+
+    @pytest.mark.parametrize("key,value", [
+        ("missing_policy", "median"), ("test_fraction", 0.25), ("seed", 8), ("bins", 4),
+        ("discretizer", "equal_width"),
+    ])
+    def test_other_config_key_is_a_miss(self, partitioned, key, value):
+        tmp_path, _ = partitioned
+        views_path = tmp_path / "views.json"
+        doc = read_json(views_path)
+        doc["config"][key] = value
+        views_path.write_text(json.dumps(doc), encoding="utf-8")
+        _, logs = self.stages(tmp_path)
+        assert self.outcomes(logs) == self.ALL_MISS
+
+    READERS = {"features": "evaluate", "target": "evaluate", "codes": "diagnose",
+               "cardinalities": "diagnose", "train_target": "diagnose"}
+
+    @pytest.mark.parametrize("name", sorted(READERS))
+    @pytest.mark.parametrize("edit", [
+        lambda path: path.write_bytes(path.read_bytes()[: path.stat().st_size // 2]),
+        lambda path: path.write_bytes(b""),
+        lambda path: path.unlink(),
+        lambda path: np.save(path, np.load(path).astype(np.int32)),
+        lambda path: np.save(path, np.load(path)[:-1]),
+    ], ids=["truncated", "empty", "absent", "int32", "one_row_short"])
+    def test_damaged_array_is_a_miss(self, partitioned, capsys, name, edit):
+        tmp_path, _ = partitioned
+        edit(tmp_path / CACHE_DIR / f"{name}.npy")
+        capsys.readouterr()
+        _, logs = self.stages(tmp_path)
+        assert "error" not in capsys.readouterr().err
+        reader = self.READERS[name]
+        expected = {stage: "miss" if stage.startswith(reader) else "hit" for stage in logs}
+        assert self.outcomes(logs) == expected
+
+    @pytest.mark.parametrize("content", ["{not json", "[]", '{"key": null}', ""])
+    def test_damaged_key_file_is_a_miss(self, partitioned, content):
+        tmp_path, _ = partitioned
+        (tmp_path / CACHE_DIR / "key.json").write_text(content, encoding="utf-8")
+        _, logs = self.stages(tmp_path)
+        assert self.outcomes(logs) == self.ALL_MISS
+
+    def test_stages_on_a_hit_never_parse(self, partitioned, monkeypatch):
+        tmp_path, _ = partitioned
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("parsed on a cache hit")
+
+        monkeypatch.setattr(cli, "load_csv", refuse)
+        monkeypatch.setattr(cli, "discretize", refuse)
+        assert main(["evaluate", "--out", str(tmp_path)]) == 0
+        # diagnose reads the codes alone, not the float table
+        for name in ("features", "target"):
+            (tmp_path / CACHE_DIR / f"{name}.npy").unlink()
+        assert main(["diagnose", "--out", str(tmp_path)]) == 0
+        log = read_json(tmp_path / "run_log.json")
+        assert log["evaluate"]["parse_cache"] == log["diagnose"]["parse_cache"] == "hit"
+
+    def test_unwritable_cache_is_no_error(self, workdir):
+        tmp_path, csv_path = workdir
+        (tmp_path / CACHE_DIR).write_text("a file where the directory goes", encoding="utf-8")
+        assert main(partition_argv(csv_path, tmp_path)) == 0
+        _, logs = self.stages(tmp_path)
+        assert self.outcomes(logs) == self.ALL_MISS
+
 
 def write_matrix_csv(path: Path, columns: dict) -> None:
     names = list(columns)
@@ -961,6 +1139,16 @@ class TestStatsCommand:
         first = (tmp_path / "verdicts.json").read_bytes()
         assert main(argv) == 0
         assert (tmp_path / "verdicts.json").read_bytes() == first
+
+    def test_trailing_blank_line_is_no_run(self, matrices, capsys):
+        tmp_path = matrices
+        argv = self.stats_argv(tmp_path)
+        assert main(argv) == 0
+        expected = (tmp_path / "verdicts.json").read_bytes()
+        with open(tmp_path / "acc.csv", "a", encoding="utf-8") as fh:
+            fh.write("\n")
+        assert main(argv) == 0, capsys.readouterr().err
+        assert (tmp_path / "verdicts.json").read_bytes() == expected
 
     # SHA-256 of the verdicts.json that format 6 writes for each fixture; a
     # change to how the intervals are computed must leave these bytes alone

@@ -14,6 +14,7 @@ from numpy.testing import assert_allclose
 from spfp import dataset
 from spfp.dataset import Dataset, SplitSpec, discretize, load_csv, split, split_rows
 from spfp.errors import ConfigError, DataError
+from spfp.infometrics import PairCache
 
 
 def write_csv(path, lines):
@@ -298,6 +299,14 @@ class TestDiscretize:
                 assert np.unique(col).shape[0] == card  # every code occurs
                 order = np.argsort(X[:, j], kind="stable")
                 assert (np.diff(col[order]) >= 0).all()
+
+    def test_pair_cache_reads_the_codes_without_a_copy(self):
+        rng = np.random.default_rng(12)
+        d = make_dataset(rng.normal(size=(50, 4)), rng.integers(0, 2, size=50))
+        coded = discretize(d, bins=3)
+        assert coded.codes.flags.f_contiguous
+        cache = PairCache(coded.codes, coded.cardinalities, d.target)
+        assert np.shares_memory(cache.columns, coded.codes)
 
     def test_bad_args(self):
         d = make_dataset([[1.0], [2.0]], [0, 1])
