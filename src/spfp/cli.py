@@ -59,7 +59,7 @@ if TYPE_CHECKING:
 
 __all__ = ["RunConfig", "main", "build_parser", "FORMAT_VERSION"]
 
-FORMAT_VERSION = 6
+FORMAT_VERSION = 7
 EXIT_OK, EXIT_CONFIG, EXIT_DATA, EXIT_INTERNAL = 0, 2, 3, 4
 
 
@@ -112,10 +112,10 @@ class RunConfig(SpfpConfig):
             doc = {**doc, "discretizer": "equal_frequency"}
         if version < FORMAT_VERSION:
             # Format 3 changed only the bootstrap intervals of `stats`,
-            # format 4 only its p-values, format 5 only how the built-in
-            # model is trained and format 6 only the last bits of entropies;
-            # no config key selects any of them, so older configs read as
-            # current.
+            # format 4 only its p-values, formats 5 and 7 only how the
+            # built-in model is trained and format 6 only the last bits of
+            # entropies; no config key selects any of them, so older configs
+            # read as current.
             doc = {**doc, "format_version": FORMAT_VERSION}
         known = {f.name for f in fields(cls)}
         unknown = set(doc) - known
@@ -392,6 +392,14 @@ def _model_name(index: int) -> str:
     return f"theta_{index + 1}"
 
 
+def _parsed(convert, text: str):
+    """``convert(text)``, or None where the text does not parse."""
+    try:
+        return convert(text)
+    except ValueError:
+        return None
+
+
 def _read_proba_csv(path: Path, n_rows: int, n_classes: int) -> np.ndarray:
     """Parse one imported prediction file and validate the contract:
     header row_id,class_0..class_{C-1}; row ids 0..n-1 in order; rows are
@@ -407,26 +415,35 @@ def _read_proba_csv(path: Path, n_rows: int, n_classes: int) -> np.ndarray:
     body = rows[1:]
     if len(body) != n_rows:
         raise DataError(f"{path.name}: expected {n_rows} rows, found {len(body)}")
-    proba = np.empty((n_rows, n_classes))
-    for i, row in enumerate(body):
-        if len(row) != n_classes + 1:
-            raise DataError(f"{path.name} row {i}: wrong field count")
-        try:
-            rid = int(row[0])
-            values = [float(x) for x in row[1:]]
-        except ValueError as exc:
-            raise DataError(f"{path.name} row {i}: unparseable value") from exc
-        if rid != i:
-            raise DataError(f"{path.name} row {i}: row_id {rid} out of order")
-        if not all(math.isfinite(v) for v in values):
-            raise DataError(f"{path.name} row {i}: non-finite probability")
-        if min(values) < 0.0 or max(values) > 1.0:
-            raise DataError(f"{path.name} row {i}: probabilities outside [0,1]")
-        if abs(sum(values) - 1.0) > 1e-6:
-            raise DataError(
-                f"{path.name} row {i}: probabilities sum to {sum(values):.9f}, not 1"
-            )
-        proba[i] = values
+    # The checks run at once on the rows before the first of the wrong
+    # width. The first row that fails one is reported with the first it
+    # fails, in the order listed; the row that ended the block only if none
+    # does.
+    end = next((i for i, row in enumerate(body) if len(row) != n_classes + 1), n_rows)
+    ids = np.array([_parsed(int, row[0]) for row in body[:end]], dtype=object)
+    cells = [_parsed(float, text) for row in body[:end] for text in row[1:]]
+    proba = np.array(cells, dtype=np.float64).reshape(end, n_classes)  # None reads NaN
+    unparseable = np.equal(ids, None)
+    for k in np.flatnonzero(np.isnan(proba)):  # a NaN, or a cell that did not parse
+        unparseable[k // n_classes] |= cells[k] is None
+    finite = np.isfinite(proba).all(axis=1)
+    with np.errstate(invalid="ignore"):  # inf - inf in a row that is not finite
+        sums = np.cumsum(proba, axis=1)[:, -1]  # left to right, as sum() adds
+    checks = [
+        (unparseable, lambda i: "unparseable value"),
+        (ids != np.arange(end), lambda i: f"row_id {ids[i]} out of order"),
+        (~finite, lambda i: "non-finite probability"),
+        ((proba < 0.0).any(axis=1) | (proba > 1.0).any(axis=1),
+         lambda i: "probabilities outside [0,1]"),
+        (np.abs(sums - 1.0) > 1e-6, lambda i: f"probabilities sum to {sums[i]:.9f}, not 1"),
+    ]
+    faulty = np.logical_or.reduce([failed for failed, _ in checks])
+    if faulty.any():
+        i = int(faulty.argmax())
+        message = next(describe(i) for failed, describe in checks if failed[i])
+        raise DataError(f"{path.name} row {i}: {message}")
+    if end < n_rows:
+        raise DataError(f"{path.name} row {end}: wrong field count")
     return proba
 
 
@@ -456,7 +473,7 @@ def cmd_evaluate(args) -> int:
     elapsed: dict[str, float] = {}
     member_auc: list[float] = []
     ensembles_meta: dict[str, dict] = {}
-    training: dict[str, dict] = {}  # built-in models only
+    trained: dict[str, ProbModel] = {}  # built-in models only
     test_probas: list[np.ndarray] = []  # the ensemble members
 
     if args.import_proba:
@@ -499,7 +516,7 @@ def cmd_evaluate(args) -> int:
             auc_g = metrics(predict_proba(model, holdout.features[:, ids]), holdout.target).auc
             proba = predict_proba(model, test.features[:, ids])
             elapsed[name] = time.perf_counter() - tm
-            training[name] = _training_summary(model, rc.max_iters)
+            trained[name] = model
             test_probas.append(proba)
             member_auc.append(auc_g)
             reports[name] = metrics(proba, test.target)
@@ -508,7 +525,7 @@ def cmd_evaluate(args) -> int:
         all_model = fit(inner_train.features, inner_train.target)
         reports["All"] = metrics(predict_proba(all_model, test.features), test.target)
         elapsed["All"] = time.perf_counter() - tm
-        training["All"] = _training_summary(all_model, rc.max_iters)
+        trained["All"] = all_model
 
     for k in range(2, n_views + 1):
         name = f"E_1:{k}"
@@ -522,6 +539,7 @@ def cmd_evaluate(args) -> int:
             "weights": [float(w) for w in weights],
         }
 
+    training = {name: _training_summary(m, rc.max_iters) for name, m in trained.items()}
     out = Path(rc.out)
     metrics_json = {
         "format_version": FORMAT_VERSION,
@@ -542,6 +560,8 @@ def cmd_evaluate(args) -> int:
             "started_unix": started,
             "elapsed_seconds": time.perf_counter() - t0,
             "model_elapsed_seconds": elapsed,
+            "line_search": {name: {"evaluations": m.evaluations, "fallbacks": m.fallbacks}
+                            for name, m in trained.items()},
             **load_log,
         },
     )

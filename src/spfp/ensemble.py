@@ -2,8 +2,8 @@
 report used to compare them.
 
 The builtin model is a deliberately plain multinomial logistic regression:
-zero-initialized, full-batch accelerated gradient with adaptive restart and
-a fixed step from the curvature bound, features standardized with training
+zero-initialized, full-batch L-BFGS with a backtracking line search on the
+exact penalized cross-entropy, features standardized with training
 statistics. It exists to make the pipeline self-contained; externally
 produced probability matrices can be imported instead. An ensemble reads
 only its members' probability matrices, so both kinds of member combine the
@@ -14,8 +14,8 @@ All information quantities (log-loss, row entropies) are in bits.
 
 from __future__ import annotations
 
-import math
 import warnings
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +34,11 @@ __all__ = [
 ]
 
 _PROB_CLAMP = 1e-15
+# L-BFGS: the curvature pairs a direction uses, and the Armijo line
+# search's sufficient-decrease constant and halvings of the unit step
+_HISTORY = 10
+_ARMIJO = 1e-4
+_HALVINGS = 4
 
 
 @dataclass
@@ -45,6 +50,8 @@ class ProbModel:
     scale: np.ndarray
     iterations: int
     final_loss: float  # training log-loss in bits, penalty excluded
+    evaluations: int  # points where the loss was evaluated, one logits product each
+    fallbacks: int  # line searches that ended in the gradient step
 
 
 @dataclass
@@ -91,23 +98,35 @@ def _row_sum(e: np.ndarray) -> np.ndarray:
     return r[0]
 
 
-def _softmax(z: np.ndarray) -> np.ndarray:
-    """Row-wise softmax of `z`, computed in `z` and returned.
-
-    ``==`` ``e / e.sum(axis=1, keepdims=True)`` with
-    ``e = np.exp(z - z.max(axis=1, keepdims=True))``: a running max over
-    the columns is exact, the exp runs over the whole contiguous matrix, and
-    `_row_sum` adds in numpy's order.
-    """
+def _subtract_row_max(z: np.ndarray) -> None:
+    """``z -= z.max(axis=1, keepdims=True)`` in place: a running max over
+    the columns is exact."""
     m = z[:, 0].copy()
     for k in range(1, z.shape[1]):
         np.maximum(m, z[:, k], out=m)
     for k in range(z.shape[1]):
         z[:, k] -= m
+
+
+def _exp_normalize(z: np.ndarray) -> np.ndarray:
+    """``z = exp(z) / exp(z).sum(axis=1, keepdims=True)`` in place, the exp
+    over the whole contiguous matrix and the row sums added in numpy's
+    order by `_row_sum`; returns the row sums."""
     np.exp(z, out=z)
     s = _row_sum(z)
     for k in range(z.shape[1]):
         z[:, k] /= s
+    return s
+
+
+def _softmax(z: np.ndarray) -> np.ndarray:
+    """Row-wise softmax of `z`, computed in `z` and returned.
+
+    ``==`` ``e / e.sum(axis=1, keepdims=True)`` with
+    ``e = np.exp(z - z.max(axis=1, keepdims=True))``.
+    """
+    _subtract_row_max(z)
+    _exp_normalize(z)
     return z
 
 
@@ -123,6 +142,26 @@ def _design(X: np.ndarray, mean: np.ndarray, scale: np.ndarray) -> np.ndarray:
     return xb
 
 
+def _lbfgs_direction(g: np.ndarray, history, scale: float) -> np.ndarray:
+    """-H g for the L-BFGS inverse Hessian H of the curvature pairs
+    (s, y, 1/s'y) in `history`, oldest first, by the two-loop recursion;
+    the initial scale is the newest pair's s'y/y'y, or `scale` without
+    pairs."""
+    q = g.copy()
+    alphas = []
+    for s, y, rho in reversed(history):
+        a = rho * float(np.vdot(s, q))
+        q -= a * y
+        alphas.append(a)
+    if history:
+        s, y, _ = history[-1]
+        scale = float(np.vdot(s, y)) / float(np.vdot(y, y))
+    r = scale * q
+    for (s, y, rho), a in zip(history, reversed(alphas)):
+        r += (a - rho * float(np.vdot(y, r))) * s
+    return -r
+
+
 def train_builtin(
     X: np.ndarray,
     y: np.ndarray,
@@ -134,12 +173,16 @@ def train_builtin(
 ) -> ProbModel:
     """Fit the baseline classifier on an already-column-restricted matrix.
 
-    Deterministic: zero initialization, accelerated gradient with step 1/L
-    where L bounds the loss curvature (0.5 * lambda_max(X~'X~)/n plus the
-    penalty), restarting the momentum whenever the new iterate moves uphill
-    along the gradient it was stepped from. Stops when the gradient max-norm at the
-    extrapolated point is < tol, returning that point, or after max_iters
-    updates, returning the last one. The bias row is not penalized.
+    Deterministic: zero initialization, then limited-memory BFGS (Liu &
+    Nocedal 1989) over the last `_HISTORY` curvature pairs with s'y > 0.
+    The first inverse-Hessian scale is 1/L, where L bounds the loss
+    curvature (0.5 * lambda_max(X~'X~)/n plus the penalty), later s'y/y'y.
+    Each step backtracks from 1 by halving until the penalized loss
+    decreases sufficiently (Armijo); when `_HALVINGS` halvings do not, it
+    takes the gradient step w - g/L, which descends on an L-smooth loss,
+    and clears the history. Stops when the gradient max-norm at the current
+    iterate is < tol, or after max_iters steps. The bias row is not
+    penalized.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.intp)
@@ -160,47 +203,70 @@ def train_builtin(
     xb = _design(X, mean, scale)
 
     lip = 0.5 * float(np.linalg.eigvalsh(xb.T @ xb)[-1]) / n + l2
-    lr = 1.0 / lip
-    w = np.zeros((d + 1, n_cls))
     onehot = np.eye(n_cls)[y]
     penalty_mask = np.ones((d + 1, 1))
     penalty_mask[0, 0] = 0.0
-
-    # Accelerated gradient with gradient-based adaptive restart (Nesterov
-    # 1983; O'Donoghue & Candes 2015), one gradient per iteration, taken at
-    # the extrapolated point v. The logits and gradient buffers are reused
-    # by every step, which makes the same IEEE operations in the same order
-    # as xb.T @ (softmax(xb @ v) - onehot) / n + penalty.
-    v = w
-    t = 1.0
+    rows = np.arange(n)
+    # The logits of the last point evaluated, then its probabilities, in
+    # one buffer that every evaluation reuses: the same IEEE operations in
+    # the same order as the out-of-place log-sum-exp loss and
+    # xb.T @ (softmax(xb @ w) - onehot) / n + penalty.
     z = np.empty((n, n_cls))
-    g = np.empty((d + 1, n_cls))
-    iterations = 0
-    for _ in range(max_iters):
-        _softmax(np.matmul(xb, v, out=z))
-        z -= onehot
-        np.matmul(xb.T, z, out=g)
+
+    def loss(w: np.ndarray) -> float:
+        """The penalized cross-entropy in nats at w; leaves softmax(xb @ w)
+        in z."""
+        _subtract_row_max(np.matmul(xb, w, out=z))
+        shifted_true = z[rows, y]
+        nll = np.log(_exp_normalize(z)) - shifted_true
+        return float(nll.mean()) + 0.5 * l2 * float(np.vdot(w[1:], w[1:]))
+
+    def gradient(w: np.ndarray) -> np.ndarray:
+        """The gradient at w, the point `loss` evaluated last."""
+        np.subtract(z, onehot, out=z)
+        g = xb.T @ z
         g /= n
-        g += l2 * (v * penalty_mask)
+        g += l2 * (w * penalty_mask)
+        return g
+
+    w = np.zeros((d + 1, n_cls))
+    f = loss(w)
+    g = gradient(w)
+    history: deque = deque(maxlen=_HISTORY)
+    evaluations, fallbacks, iterations = 1, 0, 0
+    for _ in range(max_iters):
         if float(np.abs(g).max()) < tol:
-            w = v  # the point the stop rule checked
             break
-        w_next = v - lr * g
-        step = w_next - w
-        if float(np.vdot(g, step)) > 0.0:  # the step points uphill along g
-            t, v = 1.0, w_next
-        else:
-            t_next = (1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2.0
-            v = w_next + ((t - 1.0) / t_next) * step
-            t = t_next
-        w = w_next
+        direction = _lbfgs_direction(g, history, 1.0 / lip)
+        slope = float(np.vdot(g, direction))
+        step = 1.0
+        for _ in range(_HALVINGS + 1):
+            w_next = w + step * direction
+            f_next = loss(w_next)
+            evaluations += 1
+            if f_next <= f + _ARMIJO * step * slope:
+                break
+            step *= 0.5
+        else:  # no trial decreased the loss enough
+            w_next = w - g / lip
+            f_next = loss(w_next)
+            evaluations += 1
+            fallbacks += 1
+            history.clear()
+        g_next = gradient(w_next)
+        s, yk = w_next - w, g_next - g
+        sy = float(np.vdot(s, yk))
+        if sy > 0.0:
+            history.append((s, yk, 1.0 / sy))
+        w, f, g = w_next, f_next, g_next
         iterations += 1
 
     p = _softmax(np.matmul(xb, w, out=z))
-    p_true = np.clip(p[np.arange(n), y], _PROB_CLAMP, 1.0 - _PROB_CLAMP)
+    p_true = np.clip(p[rows, y], _PROB_CLAMP, 1.0 - _PROB_CLAMP)
     final_loss = float(-np.log2(p_true).mean())
     return ProbModel(
-        weights=w, mean=mean, scale=scale, iterations=iterations, final_loss=final_loss
+        weights=w, mean=mean, scale=scale, iterations=iterations, final_loss=final_loss,
+        evaluations=evaluations, fallbacks=fallbacks,
     )
 
 

@@ -26,7 +26,7 @@ from spfp.cli import (
 from spfp.dataset import SplitSpec, load_csv, split
 from spfp.ensemble import metrics
 from spfp.evalstats import friedman
-from spfp.errors import ConfigError
+from spfp.errors import ConfigError, DataError
 
 
 def write_bits_csv(path: Path, n_copies: int = 3, reps: int = 6) -> None:
@@ -325,7 +325,7 @@ class TestPartitionCommand:
         assert "workers" not in config
         assert config["format_version"] == FORMAT_VERSION
 
-    @pytest.mark.parametrize("version", [2, 3, 4, 5])
+    @pytest.mark.parametrize("version", [2, 3, 4, 5, 6])
     def test_older_views_file_runs_evaluate_and_diagnose(self, partitioned, version):
         tmp_path, _ = partitioned
         doc = read_json(tmp_path / "views.json")
@@ -400,6 +400,12 @@ class TestEvaluateCommand:
         assert set(log) == {"partition", "evaluate"}
         assert set(log["evaluate"]["model_elapsed_seconds"]) == set(
             doc["models"])
+        # one loss evaluation at the start and at least one per step
+        search = log["evaluate"]["line_search"]
+        assert set(search) == set(doc["training"]) == {"theta_1", "theta_2", "All"}
+        for name, entry in search.items():
+            assert entry["evaluations"] > doc["training"][name]["iterations"]
+            assert entry["fallbacks"] == 0
 
     def test_rerun_is_byte_identical(self, partitioned):
         tmp_path, _ = partitioned
@@ -515,6 +521,105 @@ def write_proba_csv(path: Path, probs) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def reference_read_proba(path: Path, n_rows: int, n_classes: int) -> np.ndarray:
+    """The row-by-row reader `_read_proba_csv` replaced: each row's checks
+    in order, the first faulty row raising."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        body = [row for row in csv.reader(fh) if row][1:]
+    assert len(body) == n_rows
+    proba = np.empty((n_rows, n_classes))
+    for i, row in enumerate(body):
+        if len(row) != n_classes + 1:
+            raise DataError(f"{path.name} row {i}: wrong field count")
+        try:
+            rid = int(row[0])
+            values = [float(x) for x in row[1:]]
+        except ValueError:
+            raise DataError(f"{path.name} row {i}: unparseable value") from None
+        if rid != i:
+            raise DataError(f"{path.name} row {i}: row_id {rid} out of order")
+        if not all(math.isfinite(v) for v in values):
+            raise DataError(f"{path.name} row {i}: non-finite probability")
+        if min(values) < 0.0 or max(values) > 1.0:
+            raise DataError(f"{path.name} row {i}: probabilities outside [0,1]")
+        if abs(sum(values) - 1.0) > 1e-6:
+            raise DataError(
+                f"{path.name} row {i}: probabilities sum to {sum(values):.9f}, not 1"
+            )
+        proba[i] = values
+    return proba
+
+
+class TestReadProbaCsv:
+    """`_read_proba_csv` against the row-by-row reference: the same array,
+    or the same message for the same first faulty row."""
+
+    VALID = ["0,0.2,0.3,0.5", "1,0.25,0.25,0.5", "2,1,0,0", "3,0.1,0.1,0.8", "4,0.6,0.4,0"]
+
+    @staticmethod
+    def outcome(read, path, n_rows, n_classes):
+        try:
+            return read(path, n_rows, n_classes)
+        except DataError as exc:
+            return str(exc)
+
+    def assert_same(self, tmp_path, rows, n_classes=3):
+        path = tmp_path / "theta_1.csv"
+        header = ",".join(["row_id"] + [f"class_{c}" for c in range(n_classes)])
+        path.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+        ours = self.outcome(cli._read_proba_csv, path, len(rows), n_classes)
+        reference = self.outcome(reference_read_proba, path, len(rows), n_classes)
+        if isinstance(reference, str):
+            assert ours == reference
+        else:
+            assert np.array_equal(ours, reference)
+        return ours
+
+    @pytest.mark.parametrize("edits,message", [
+        ({}, None),
+        ({2: "2,0.5,0.5"}, "row 2: wrong field count"),
+        ({0: "0,0.2,0.3,0.5,0"}, "row 0: wrong field count"),
+        ({4: "4"}, "row 4: wrong field count"),
+        ({2: "2,0.2,abc,0.8"}, "row 2: unparseable value"),
+        ({2: "x,0.2,0.3,0.5"}, "row 2: unparseable value"),
+        ({2: "2.0,0.2,0.3,0.5"}, "row 2: unparseable value"),
+        ({2: "2,nan,abc,0.5"}, "row 2: unparseable value"),
+        ({2: "3,0.2,0.3,0.5"}, "row 2: row_id 3 out of order"),
+        ({2: f"{10 ** 30},0.2,0.3,0.5"}, f"row 2: row_id {10 ** 30} out of order"),
+        ({2: "2,nan,0.5,0.5"}, "row 2: non-finite probability"),
+        ({2: "2,inf,-inf,0.5"}, "row 2: non-finite probability"),
+        ({2: "2,-0.1,0.6,0.5"}, "row 2: probabilities outside [0,1]"),
+        ({2: "2,0.2,0.2,0.2"}, "row 2: probabilities sum to 0.600000000, not 1"),
+        # the first faulty row, with the first check it fails
+        ({1: "1,0.2,0.2,0.2", 3: "3,0.5"}, "row 1: probabilities sum to"),
+        ({1: "1,0.5", 3: "3,abc,0.5,0.5"}, "row 1: wrong field count"),
+        ({1: "2,nan,0.5,0.5"}, "row 1: row_id 2 out of order"),
+        ({1: "1,2,-1,0"}, "row 1: probabilities outside [0,1]"),
+        ({3: "3,0.5", 4: "x,1,0,0"}, "row 3: wrong field count"),
+    ])
+    def test_messages_and_order(self, tmp_path, edits, message):
+        rows = [edits.get(i, row) for i, row in enumerate(self.VALID)]
+        ours = self.assert_same(tmp_path, rows)
+        if message is None:
+            assert ours.shape == (5, 3)
+        else:
+            assert ours.startswith(f"theta_1.csv {message}")
+
+    def test_sums_near_the_tolerance(self, tmp_path):
+        # Ten classes, where numpy's pairwise sum adds in another order than
+        # sum(), and row sums within a few ulps of 1 +- 1e-6, where that
+        # order decides the check.
+        rng = np.random.default_rng(3)
+        proba = rng.dirichlet(np.ones(10), size=400)
+        offset = 1e-6 + rng.uniform(-4e-16, 4e-16, size=400)
+        proba[:, 0] += rng.choice([-1.0, 1.0], size=400) * offset
+        proba = np.clip(proba, 0.0, 1.0)
+        rows = [f"{i}," + ",".join(map(repr, row)) for i, row in enumerate(proba.tolist())]
+        for start in range(0, 400, 20):  # the first faulty row moves through the file
+            valid = [f"{i}," + ",".join(["0.1"] * 10) for i in range(start)]
+            self.assert_same(tmp_path, valid + rows[start:], n_classes=10)
+
+
 class TestImportProba:
     @pytest.fixture()
     def proba_dir(self, partitioned):
@@ -538,6 +643,7 @@ class TestImportProba:
         assert set(doc["models"]) == {"theta_1", "theta_2", "E_1:2", "All"}
         assert set(doc["member_auc"]) == {"theta_1", "theta_2"}
         assert doc["training"] == {}
+        assert read_json(tmp_path / "run_log.json")["evaluate"]["line_search"] == {}
         err = capsys.readouterr().err
         assert "no All.csv" not in err
         assert "warning" not in err
@@ -1153,8 +1259,8 @@ class TestStatsCommand:
     # SHA-256 of the verdicts.json that format 6 writes for each fixture; a
     # change to how the intervals are computed must leave these bytes alone
     PINNED = {
-        "separated": "9cea2b32f97af5f35aac45defc15fae145e2bbb3af43e5c18251b2f58b850090",
-        "overlapping": "c770895a9656329721f796d273009622476f43c99ebf38475fc58b436f159529",
+        "separated": "e099094697e1c4a6df68dc35266a7821a55efa89e79216ff93165befe123f531",
+        "overlapping": "4431282743650268da79bc3e0fb22652aea3773aaab2f260a87124673d28883b",
     }
 
     def test_verdicts_bytes_pinned(self, matrices):

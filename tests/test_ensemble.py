@@ -55,8 +55,8 @@ def reference_softmax(z):
 
 
 def reference_train(X, y, *, l2=1e-4, max_iters=500, tol=1e-6, n_classes=None):
-    """The out-of-place accelerated gradient with adaptive restart that
-    train_builtin is a rewrite of: returns (weights, iterations, final_loss)."""
+    """The out-of-place L-BFGS that train_builtin is a rewrite of: returns
+    (weights, iterations, final_loss, evaluations, fallbacks)."""
     X = np.asarray(X, dtype=np.float64)
     n, d = X.shape
     n_cls = int(n_classes) if n_classes is not None else int(y.max()) + 1
@@ -66,34 +66,75 @@ def reference_train(X, y, *, l2=1e-4, max_iters=500, tol=1e-6, n_classes=None):
     xb = np.hstack([np.ones((n, 1)), (X - mean) / scale])
 
     lip = 0.5 * float(np.linalg.eigvalsh(xb.T @ xb)[-1]) / n + l2
-    lr = 1.0 / lip
-    w = np.zeros((d + 1, n_cls))
-    v = np.zeros((d + 1, n_cls))
-    t = 1.0
     onehot = np.eye(n_cls)[y]
     penalty_mask = np.ones((d + 1, 1))
     penalty_mask[0, 0] = 0.0
 
-    iterations = 0
+    def loss_and_proba(w):
+        z = xb @ w
+        shifted = z - z.max(axis=1, keepdims=True)
+        e = np.exp(shifted)
+        s = e.sum(axis=1)
+        loss = float(np.mean(np.log(s) - shifted[np.arange(n), y]))
+        return loss + 0.5 * l2 * float(np.vdot(w[1:], w[1:])), e / s[:, None]
+
+    def grad(w, p):
+        return xb.T @ (p - onehot) / n + l2 * (w * penalty_mask)
+
+    w = np.zeros((d + 1, n_cls))
+    f, p = loss_and_proba(w)
+    g = grad(w, p)
+    pairs = []  # (s, y, 1/s'y), oldest first
+    evaluations, fallbacks, iterations = 1, 0, 0
     for _ in range(max_iters):
-        p = reference_softmax(xb @ v)
-        grad = xb.T @ (p - onehot) / n + l2 * (v * penalty_mask)
-        if float(np.abs(grad).max()) < tol:
-            w = v
+        if float(np.abs(g).max()) < tol:
             break
-        w_next = v - lr * grad
-        if float(np.vdot(grad, w_next - w)) > 0.0:
-            t, v = 1.0, w_next
-        else:
-            t_next = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
-            v = w_next + ((t - 1.0) / t_next) * (w_next - w)
-            t = t_next
-        w = w_next
+        # two-loop recursion
+        q = g.copy()
+        alphas = []
+        for s, yk, rho in reversed(pairs):
+            a = rho * float(np.vdot(s, q))
+            q = q - a * yk
+            alphas.append(a)
+        gamma = 1.0 / lip
+        if pairs:
+            s, yk, _ = pairs[-1]
+            gamma = float(np.vdot(s, yk)) / float(np.vdot(yk, yk))
+        r = gamma * q
+        for (s, yk, rho), a in zip(pairs, reversed(alphas)):
+            r = r + (a - rho * float(np.vdot(yk, r))) * s
+        direction = -r
+
+        slope = float(np.vdot(g, direction))
+        accepted = False
+        step = 1.0
+        halvings = 0
+        while halvings <= 4:
+            w_next = w + step * direction
+            f_next, p = loss_and_proba(w_next)
+            evaluations += 1
+            if f_next <= f + 1e-4 * step * slope:
+                accepted = True
+                break
+            step *= 0.5
+            halvings += 1
+        if not accepted:
+            w_next = w - g / lip
+            f_next, p = loss_and_proba(w_next)
+            evaluations += 1
+            fallbacks += 1
+            pairs = []
+        g_next = grad(w_next, p)
+        s, yk = w_next - w, g_next - g
+        sy = float(np.vdot(s, yk))
+        if sy > 0.0:
+            pairs = (pairs + [(s, yk, 1.0 / sy)])[-10:]
+        w, f, g = w_next, f_next, g_next
         iterations += 1
 
     p = reference_softmax(xb @ w)
     p_true = np.clip(p[np.arange(n), y], 1e-15, 1.0 - 1e-15)
-    return w, iterations, float(-np.log2(p_true).mean())
+    return w, iterations, float(-np.log2(p_true).mean()), evaluations, fallbacks
 
 
 @pytest.mark.parametrize("k", [2, 3, 7, 8, 9, 10, 16, 17, 20, 127, 128, 129, 300])
@@ -126,10 +167,12 @@ class TestTrainMatchesReference:
 
     def assert_same(self, X, y, **kwargs):
         model = train_builtin(X, y, **kwargs)
-        w, iterations, final_loss = reference_train(X, y, **kwargs)
+        w, iterations, final_loss, evaluations, fallbacks = reference_train(X, y, **kwargs)
         assert np.array_equal(model.weights, w)
         assert model.iterations == iterations
         assert model.final_loss == final_loss
+        assert model.evaluations == evaluations
+        assert model.fallbacks == fallbacks
         xb = np.hstack([np.ones((X.shape[0], 1)), (X - model.mean) / model.scale])
         assert np.array_equal(predict_proba(model, X), reference_softmax(xb @ w))
         return model
@@ -163,9 +206,13 @@ class TestTrainMatchesReference:
         assert 0 < model.iterations < 2000
 
     def test_stops_at_max_iters(self):
+        # with tol 0 the loss stalls at rounding level, where most line
+        # searches fail and end in the gradient step
         X, y = oracle_data(200, 5, 3, seed=4, separation=4.0)
         model = self.assert_same(X, y, tol=0.0, max_iters=300)
         assert model.iterations == 300
+        assert model.fallbacks > 0
+        assert model.evaluations <= 3 * 300
 
 
 def penalized_nll_grad(w_flat, xb, y, l2, n_cls):
@@ -239,6 +286,15 @@ class TestTrainBuiltin:
         model = train_builtin(X, y)
         proba = predict_proba(model, X)
         assert (proba.argmax(axis=1) == y).mean() == 1.0
+
+    def test_separable_backtracking_raises_no_warning(self):
+        # unpenalized, so the weights grow while the loss falls towards 0
+        X, y = oracle_data(100, 2, 2, seed=8, separation=5.0)
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            model = train_builtin(X, y, l2=0.0)
+        assert (predict_proba(model, X).argmax(axis=1) == y).all()  # separable
+        assert model.evaluations > model.iterations + 1  # a trial step was rejected
+        assert model.iterations < 500
 
     def test_noise_labels_recover_priors(self):
         rng = np.random.default_rng(1)
