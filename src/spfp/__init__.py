@@ -12,7 +12,9 @@ import importlib
 
 _EXPORTS = {
     "errors": ("SpfpError", "ConfigError", "DataError"),
-    "dataset": ("Dataset", "CodedMatrix", "SplitSpec", "load_csv", "discretize", "split"),
+    "dataset": (
+        "Dataset", "CodedMatrix", "SplitSpec", "load_csv", "discretize", "split", "split_rows",
+    ),
     "infometrics": (
         "entropy",
         "joint_entropy",
@@ -45,6 +47,8 @@ _EXPORTS = {
         "metrics",
     ),
     "evalstats": (
+        "BOOTSTRAP_BLOCK",
+        "midranks",
         "RunMatrix",
         "ComparisonVerdict",
         "friedman",

@@ -5,7 +5,8 @@ trains per-view baseline models (or ingests imported probability CSVs) and
 reports metrics for views, prefix ensembles, and the all-features
 benchmark, `diagnose` checks the pairwise conditional-independence
 assumption, `stats` runs the rank-based comparison over run matrices.
-Each command imports only the modules it runs.
+`partition` and `diagnose` never load `ensemble` or `evalstats`, and
+`stats` never loads `ensemble`.
 
 `partition` leaves a parse cache beside views.json: the parsed table and
 the training rows' codes, which `evaluate` and `diagnose` read instead of
@@ -142,9 +143,17 @@ def _write_json(path: Path, doc: dict) -> None:
         fh.write("\n")
 
 
-def _update_run_log(out: Path, command: str, entry: dict) -> None:
+def _artifact(path: Path, config: dict, body: dict) -> None:
+    """Write an artifact: `body` with the format version and the run's config."""
+    _write_json(path, {"format_version": FORMAT_VERSION, "config": config, **body})
+
+
+def _update_run_log(out: Path, command: str, started: tuple[float, float], entry: dict) -> None:
     """Sidecar for timings and timestamps, keyed by command; deliberately
-    the only artifact allowed to differ between reruns."""
+    the only artifact allowed to differ between reruns. `started` is the
+    command's ``(time.time(), time.perf_counter())`` at its start."""
+    entry = {"started_unix": started[0], "elapsed_seconds": time.perf_counter() - started[1],
+             **entry}
     path = out / "run_log.json"
     try:
         log = json.loads(path.read_text(encoding="utf-8"))
@@ -310,8 +319,7 @@ def _view_ids(doc: dict, feature_names) -> list[list[int]]:
 
 def cmd_partition(args) -> int:
     rc = RunConfig(**_config_flags(args))
-    started = time.time()
-    t0 = time.perf_counter()
+    started = time.time(), time.perf_counter()
     out = Path(rc.out)
     cache, key = out / CACHE_DIR, _cache_key(rc)
     train, n_test_rows, load_counters = _load_train(rc, cache)
@@ -325,9 +333,7 @@ def cmd_partition(args) -> int:
     )
     vs = partition(train, rc, coded)
 
-    views_json = {
-        "format_version": FORMAT_VERSION,
-        "config": rc.to_dict(),
+    _artifact(out / "views.json", rc.to_dict(), {
         "seed": rc.seed,
         "n_features": train.n_features,
         "n_train_rows": train.n_rows,
@@ -351,21 +357,13 @@ def cmd_partition(args) -> int:
         "union": vs.union_ids,
         "intersection": vs.intersection_ids,
         "removed": [list(r) for r in vs.removed_log],
-    }
-    _write_json(out / "views.json", views_json)
-
-    stats = {
-        "format_version": FORMAT_VERSION,
-        "config": rc.to_dict(),
-        **view_stats(vs),
-    }
-    _write_json(out / "view_stats.json", stats)
+    })
+    _artifact(out / "view_stats.json", rc.to_dict(), view_stats(vs))
     _update_run_log(
         out,
         "partition",
+        started,
         {
-            "started_unix": started,
-            "elapsed_seconds": time.perf_counter() - t0,
             "view_elapsed_seconds": list(vs.elapsed),
             "winner_sweeps": vs.winner_sweeps,
             "winner_memo_hits": vs.winner_memo_hits,
@@ -400,16 +398,22 @@ def _parsed(convert, text: str):
         return None
 
 
+def _csv_records(path: Path) -> list[list[str]]:
+    """The records of a UTF-8 CSV file, a leading byte-order mark skipped;
+    blank lines are no records."""
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh, _file_errors(path):
+            return [row for row in csv.reader(fh) if row]
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+
+
 def _read_proba_csv(path: Path, n_rows: int, n_classes: int) -> np.ndarray:
     """Parse one imported prediction file and validate the contract:
     header row_id,class_0..class_{C-1}; row ids 0..n-1 in order; rows are
     probability vectors."""
     expected = ["row_id"] + [f"class_{c}" for c in range(n_classes)]
-    try:
-        with open(path, newline="", encoding="utf-8") as fh, _file_errors(path):
-            rows = [row for row in csv.reader(fh) if row]  # blank lines are no records
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
+    rows = _csv_records(path)
     if not rows or rows[0] != expected:
         raise DataError(f"{path.name}: header must be {','.join(expected)}")
     body = rows[1:]
@@ -461,8 +465,7 @@ def cmd_evaluate(args) -> int:
     )
 
     doc, rc, cache = _read_views_doc(args)
-    started = time.time()
-    t0 = time.perf_counter()
+    started = time.time(), time.perf_counter()
     d, train, test, load_log = _load_and_split(rc, cache)
     view_ids = _view_ids(doc, d.feature_names)
     n_views = len(view_ids)
@@ -541,9 +544,7 @@ def cmd_evaluate(args) -> int:
 
     training = {name: _training_summary(m, rc.max_iters) for name, m in trained.items()}
     out = Path(rc.out)
-    metrics_json = {
-        "format_version": FORMAT_VERSION,
-        "config": rc.to_dict(),
+    _artifact(out / "metrics.json", rc.to_dict(), {
         "weighting": weighting,
         "member_auc": {
             _model_name(g): member_auc[g] for g in range(n_views)
@@ -551,14 +552,12 @@ def cmd_evaluate(args) -> int:
         "ensembles": ensembles_meta,
         "training": training,
         "models": {name: rep.to_dict() for name, rep in reports.items()},
-    }
-    _write_json(out / "metrics.json", metrics_json)
+    })
     _update_run_log(
         out,
         "evaluate",
+        started,
         {
-            "started_unix": started,
-            "elapsed_seconds": time.perf_counter() - t0,
             "model_elapsed_seconds": elapsed,
             "line_search": {name: {"evaluations": m.evaluations, "fallbacks": m.fallbacks}
                             for name, m in trained.items()},
@@ -586,8 +585,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_diagnose(args) -> int:
     doc, rc, cache = _read_views_doc(args)
-    started = time.time()
-    t0 = time.perf_counter()
+    started = time.time(), time.perf_counter()
     hit = _read_cache(cache, rc, "codes", "cardinalities", "train_target")
     if hit is None:
         train, _, load_log = _load_train(rc)
@@ -606,19 +604,8 @@ def cmd_diagnose(args) -> int:
         view_ids, coded, target, tolerance=rc.entropy_tolerance
     )
     out = Path(rc.out)
-    _write_json(
-        out / "independence.json",
-        {"format_version": FORMAT_VERSION, "config": rc.to_dict(), **report},
-    )
-    _update_run_log(
-        out,
-        "diagnose",
-        {
-            "started_unix": started,
-            "elapsed_seconds": time.perf_counter() - t0,
-            **load_log,
-        },
-    )
+    _artifact(out / "independence.json", rc.to_dict(), report)
+    _update_run_log(out, "diagnose", started, load_log)
     cmi = np.asarray(report["pairwise_cmi"])
     off = cmi[~np.eye(cmi.shape[0], dtype=bool)]
     print(f"max pairwise CMI given target: {off.max():.6f} bits")
@@ -636,11 +623,7 @@ def cmd_diagnose(args) -> int:
 def _read_run_matrix(path: Path, lower_better: bool) -> RunMatrix:
     from .evalstats import RunMatrix
 
-    try:
-        with open(path, newline="", encoding="utf-8") as fh, _file_errors(path):
-            rows = [row for row in csv.reader(fh) if row]  # blank lines are no records
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
+    rows = _csv_records(path)
     if len(rows) < 3:
         raise DataError(f"{path}: need a header and >= 2 run rows")
     names = [c.strip() for c in rows[0]]
@@ -676,8 +659,7 @@ def cmd_stats(args) -> int:
     if unknown_lower:
         raise ConfigError(f"--lower-better names without a matrix: {sorted(unknown_lower)}")
 
-    started = time.time()
-    t0 = time.perf_counter()
+    started = time.time(), time.perf_counter()
     table = win_tie_loss(
         matrices,
         benchmark=args.benchmark,
@@ -687,34 +669,30 @@ def cmd_stats(args) -> int:
         seed=args.seed,
     )
     out = Path(args.out)
-    doc = {
-        "format_version": FORMAT_VERSION,
-        "config": {
-            "alpha": args.alpha,
-            "bootstrap_replicates": args.bootstrap,
-            "confidence": args.confidence,
-            "seed": args.seed,
-            "benchmark": args.benchmark,
-            "lower_better": sorted(lower),
-            "friedman_p_adjustment": "bonferroni_across_metrics",
-            "conover_p_adjustment": "benjamini_hochberg_within_metric",
-            "conover_form": "rank_sum_t, pooled variance, df=(n-1)(k-1)",
-        },
-        "metrics": {},
+    config = {
+        "alpha": args.alpha,
+        "bootstrap_replicates": args.bootstrap,
+        "confidence": args.confidence,
+        "seed": args.seed,
+        "benchmark": args.benchmark,
+        "lower_better": sorted(lower),
+        "friedman_p_adjustment": "bonferroni_across_metrics",
+        "conover_p_adjustment": "benjamini_hochberg_within_metric",
+        "conover_form": "rank_sum_t, pooled variance, df=(n-1)(k-1)",
     }
+    results = {}
     for name, verdicts in table.items():
         statistic, p_raw = next(iter(verdicts.values())).friedman
-        doc["metrics"][name] = {
+        results[name] = {
             "friedman": {"statistic": statistic, "p": p_raw},
             "verdicts": {model: verdict.to_dict() for model, verdict in verdicts.items()},
         }
-    _write_json(out / "verdicts.json", doc)
+    _artifact(out / "verdicts.json", config, {"metrics": results})
     _update_run_log(
         out,
         "stats",
+        started,
         {
-            "started_unix": started,
-            "elapsed_seconds": time.perf_counter() - t0,
             "comparisons": sum(len(verdicts) for verdicts in table.values()),
             # the models of a metric share its one draw of bootstrap blocks
             "bootstrap_blocks_drawn": len(table) * math.ceil(args.bootstrap / BOOTSTRAP_BLOCK),

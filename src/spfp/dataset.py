@@ -1,9 +1,10 @@
 """Tabular data loading, discretization, and deterministic splitting.
 
-CSV files are expected UTF-8, comma-separated, with a header row and '.'
-decimal points. The target column is label-encoded in first-appearance
-order; all other columns must parse as finite numbers. Continuous features are
-discretized to small-integer codes so the plug-in entropy estimators in
+CSV files are expected UTF-8 (a leading byte-order mark is skipped),
+comma-separated, with a header row and '.' decimal points. The target
+column is label-encoded in first-appearance order; all other columns must
+parse as finite numbers. Continuous features are discretized to
+small-integer codes so the plug-in entropy estimators in
 :mod:`spfp.infometrics` apply.
 """
 
@@ -158,7 +159,8 @@ def _load_clean(lines, target_idx: int, width: int):
 def _load_rows(reader, header, feature_names, target_idx: int, missing_policy: str, path):
     """Parse and validate the data rows cell by cell, applying the policy."""
     rows: list[list[float]] = []
-    labels: list[str] = []
+    target: list[int] = []
+    class_index: dict[str, int] = {}
     n_rejected = 0
     for row_no, record in enumerate(reader, start=1):
         if not record:
@@ -190,7 +192,7 @@ def _load_rows(reader, header, feature_names, target_idx: int, missing_policy: s
             n_rejected += 1
             continue
         rows.append(values)
-        labels.append(label)
+        target.append(class_index.setdefault(label, len(class_index)))
 
     if not rows:
         raise DataError(f"{path}: no data rows")
@@ -207,15 +209,7 @@ def _load_rows(reader, header, feature_names, target_idx: int, missing_policy: s
                 features[mask, j] = np.median(valid)
                 n_imputed += int(mask.sum())
 
-    class_names: list[str] = []
-    class_index: dict[str, int] = {}
-    target = np.empty(len(labels), dtype=np.intp)
-    for i, label in enumerate(labels):
-        if label not in class_index:
-            class_index[label] = len(class_names)
-            class_names.append(label)
-        target[i] = class_index[label]
-    return features, target, tuple(class_names), n_rejected, n_imputed
+    return features, np.asarray(target, dtype=np.intp), tuple(class_index), n_rejected, n_imputed
 
 
 @contextlib.contextmanager
@@ -244,7 +238,8 @@ def load_csv(path, target_column, missing_policy: str = "error") -> Dataset:
     if missing_policy not in MISSING_POLICIES:
         raise ConfigError(f"unknown missing_policy {missing_policy!r}")
     try:
-        handle = open(path, newline="", encoding="utf-8")
+        # utf-8-sig drops the byte-order mark that some spreadsheets write
+        handle = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc}") from exc
     with handle, _file_errors(path):
@@ -294,10 +289,6 @@ def _dense_recode(raw: np.ndarray) -> np.ndarray:
     return remap[raw]
 
 
-def _is_integral(col: np.ndarray) -> bool:
-    return bool(np.all(np.isfinite(col)) and np.all(col == np.floor(col)))
-
-
 def discretize(d: Dataset, bins: int = 10, strategy: str = "equal_frequency") -> CodedMatrix:
     """Discretize every feature column to dense small-integer codes.
 
@@ -305,8 +296,8 @@ def discretize(d: Dataset, bins: int = 10, strategy: str = "equal_frequency") ->
     dense codes regardless of strategy. Remaining columns are cut at
     column quantiles (equal_frequency) or at uniform intervals (equal_width);
     duplicate cut points are merged, so cardinality may come out below
-    `bins`. Constant columns get cardinality 1. Coding is order-preserving
-    per column.
+    `bins` and a constant column gets cardinality 1. Coding is
+    order-preserving per column. A NaN or infinite cell raises DataError.
     """
     if bins < 2:
         raise ConfigError(f"bins must be >= 2, got {bins}")
@@ -318,11 +309,13 @@ def discretize(d: Dataset, bins: int = 10, strategy: str = "equal_frequency") ->
     cards = np.empty(n_cols, dtype=np.intp)
     for j in range(n_cols):
         col = d.features[:, j]
+        if not np.isfinite(col).all():
+            row = int(np.argmin(np.isfinite(col)))
+            raise DataError(f"column '{d.feature_names[j]}' holds a non-finite value "
+                            f"at row index {row}")
         uniques = np.unique(col)
-        if _is_integral(col) and uniques.shape[0] <= bins:
+        if uniques.shape[0] <= bins and np.all(col == np.floor(col)):
             coded = np.searchsorted(uniques, col)
-        elif uniques.shape[0] == 1:
-            coded = np.zeros(d.n_rows, dtype=np.intp)
         else:
             if strategy == "equal_width":
                 edges = np.linspace(col.min(), col.max(), bins + 1)[1:-1]

@@ -224,10 +224,11 @@ def pearson_abs(x, y) -> float:
 class PairCache:
     """Pairwise MI and CMI-given-target, in bits, memoised by feature.
 
-    `winner_stats` computes a feature against every feature in one counting
-    sweep; the greedy search calls it once per selected feature, and a
-    feature selected again in a later view reuses it. `sweeps` counts the
-    sweeps made and `memo_hits` the calls that reused one.
+    `mi_y` holds I(f;Y) of every feature. `winner_stats` computes a feature
+    against every feature in one counting sweep; the greedy search calls it
+    once per selected feature, and a feature selected again in a later view
+    reuses it. `sweeps` counts the sweeps made and `memo_hits` the calls
+    that reused one.
     """
 
     def __init__(self, codes: np.ndarray, cardinalities, target) -> None:
@@ -241,15 +242,17 @@ class PairCache:
         self._n = self._cols.shape[1]
         self._t_card = int(self._target.max()) + 1
         self._h_target = entropy(self._target)
-        # each feature's codes, then its (code, Y) keys, offset into a block of its own
+        # each feature's (code, Y) keys, offset into a block of its own;
+        # summing a feature's (code, Y) table over Y gives its code counts
         n_feat, k = self._cols.shape[0], int(self._cards.max())
         key = self._cols + np.arange(n_feat)[:, None] * k
-        counts = np.bincount(key.ravel(), minlength=n_feat * k)
-        self._h_feat = _entropies(counts.reshape(n_feat, k))
         key *= self._t_card
         key += self._target
         counts = np.bincount(key.ravel(), minlength=n_feat * k * self._t_card)
+        counts = counts.reshape(n_feat, k, self._t_card)
         self._h_feat_t = _entropies(counts.reshape(n_feat, -1))
+        self._h_feat = _entropies(counts.sum(axis=2))
+        self.mi_y = np.maximum(0.0, self._h_feat + self._h_target - self._h_feat_t)
         self._winner: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self.memo_hits = 0
 
@@ -257,18 +260,6 @@ class PairCache:
     def columns(self) -> np.ndarray:
         """The codes, feature-major: row i is feature i's column."""
         return self._cols
-
-    def feature_entropy(self, i: int) -> float:
-        return float(self._h_feat[i])
-
-    def feature_target_entropy(self, i: int) -> float:
-        """H(f_i, Y)."""
-        return float(self._h_feat_t[i])
-
-    def mi_with_target(self, i: int) -> float:
-        """I(f_i; Y)."""
-        value = self.feature_entropy(i) + self._h_target - self.feature_target_entropy(i)
-        return max(0.0, value)
 
     def winner_stats(self, w: int) -> tuple[np.ndarray, np.ndarray]:
         """(I(f_w;f_c), I(f_w;f_c|Y)) for every feature c, as two arrays.

@@ -232,7 +232,6 @@ class _Context:
     target: np.ndarray
     cache: PairCache
     relevance: np.ndarray
-    mi_y: np.ndarray
     h_f: float
     h_fy: float
     n_f: int
@@ -242,11 +241,9 @@ class _Context:
 def _build_context(d: Dataset, coded: CodedMatrix, config: SpfpConfig) -> _Context:
     """The run's shared state; the codes are kept only inside the PairCache."""
     cache = PairCache(coded.codes, coded.cardinalities, d.target)
-    n_feat = coded.n_columns
     relevance = relevance_vector(
         d.features, d.target, d.n_classes, config.relevance_correlation
     )
-    mi_y = np.array([cache.mi_with_target(i) for i in range(n_feat)])
     full = RowPartition.from_columns(cache.columns)
     h_f = full.entropy()
     h_fy = full.refine(d.target).entropy()
@@ -255,10 +252,9 @@ def _build_context(d: Dataset, coded: CodedMatrix, config: SpfpConfig) -> _Conte
         target=d.target,
         cache=cache,
         relevance=relevance,
-        mi_y=mi_y,
         h_f=h_f,
         h_fy=h_fy,
-        n_f=config.resolve_min_features(n_feat),
+        n_f=config.resolve_min_features(coded.n_columns),
         tol=config.entropy_tolerance,
     )
 
@@ -288,7 +284,7 @@ def build_view(pool, ctx: _Context) -> View:
     crit = criteria_met(0, h_s, h_sy, ctx.h_f, ctx.h_fy, ctx.n_f, ctx.tol)
 
     while pool_arr.size > 0 and not all(crit):
-        score = ctx.relevance[pool_arr] + ctx.mi_y[pool_arr]
+        score = ctx.relevance[pool_arr] + ctx.cache.mi_y[pool_arr]
         if selected:
             score += (sum_cmi - sum_mi) / len(selected)
         best = int(np.argmax(score))  # first max = lowest index
@@ -432,13 +428,13 @@ def conditional_independence_report(
     ]
     part_y = RowPartition.trivial(coded.n_rows).refine(target)
     h_y = part_y.entropy()
-    h_view_y = [part_y.refine(g).entropy() for g in group_cols]
+    parts_view_y = [part_y.refine(g) for g in group_cols]
+    h_view_y = [p.entropy() for p in parts_view_y]
     k = len(group_cols)
     cmi = np.zeros((k, k))
     for a in range(k):
-        part_ay = part_y.refine(group_cols[a])
         for b in range(a, k):
-            h_aby = part_ay.refine(group_cols[b]).entropy()
+            h_aby = parts_view_y[a].refine(group_cols[b]).entropy()
             value = max(0.0, h_view_y[a] + h_view_y[b] - h_aby - h_y)
             cmi[a, b] = cmi[b, a] = value
     h_f = RowPartition.from_columns(coded.codes.T).entropy()

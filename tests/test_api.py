@@ -1,4 +1,5 @@
-"""The public surface: every exported name resolves."""
+"""The public surface: every exported name resolves, and the package
+re-exports every library module's public names."""
 
 import importlib
 import pkgutil
@@ -15,3 +16,18 @@ def test_every_exported_name_resolves():
         if absent:
             missing[name] = absent
     assert missing == {}
+
+
+def test_package_reexports_every_library_name():
+    missing = {}
+    for info in pkgutil.iter_modules(spfp.__path__):
+        if info.name == "cli":  # the command line, not a library module
+            continue
+        module = importlib.import_module(f"spfp.{info.name}")
+        absent = sorted(set(getattr(module, "__all__", [])) - set(spfp.__all__))
+        if absent:
+            missing[info.name] = absent
+    assert missing == {}
+    assert spfp.split_rows.__module__ == "spfp.dataset"
+    assert spfp.midranks.__module__ == "spfp.evalstats"
+    assert spfp.BOOTSTRAP_BLOCK == spfp.evalstats.BOOTSTRAP_BLOCK

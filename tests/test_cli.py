@@ -162,6 +162,7 @@ class TestStartup:
         assert out.strip() == "[]"
 
     def test_stats_runs_without_scipy(self, tmp_path):
+        # nor does it load the models of spfp.ensemble
         write_matrix_csv(tmp_path / "acc.csv", {
             "ours": [0.9, 0.8, 0.85, 0.7], "base": [0.6, 0.7, 0.5, 0.65],
             "other": [0.6, 0.75, 0.55, 0.6],
@@ -171,7 +172,8 @@ class TestStartup:
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ, PYTHONPATH=src)
         code = ("import sys; from spfp.cli import main; rc = main(sys.argv[1:]); "
-                "print(sorted(m for m in sys.modules if m.startswith('scipy'))); "
+                "print(sorted(m for m in sys.modules "
+                "if m.startswith('scipy') or m == 'spfp.ensemble')); "
                 "sys.exit(rc)")
         done = subprocess.run([sys.executable, "-c", code, *argv], env=env,
                               capture_output=True, text=True, timeout=120)
@@ -240,6 +242,34 @@ class TestPartitionCommand:
         # takes 6 of the same features again, and its 5 calls reuse sweeps
         assert log["partition"]["winner_sweeps"] == 9
         assert log["partition"]["winner_memo_hits"] == 5
+
+    def test_views_structure_is_pinned(self, partitioned):
+        # the integers of views.json, which hold on every platform
+        doc = read_json(partitioned[0] / "views.json")
+        assert [v["features"]["indices"] for v in doc["views"]] == [
+            [0, 4, 8, 1, 5, 9, 2, 6, 10, 3], [0, 4, 9, 2, 10, 3]]
+        assert [v["termination"] for v in doc["views"]] == ["criteria_met"] * 2
+        assert doc["removed"] == [[1, 5, 6, 8], [9, 10]]
+
+    @pytest.mark.parametrize("target_first", [False, True])
+    def test_byte_order_mark_is_skipped(self, workdir, target_first):
+        # as spreadsheets write "CSV UTF-8": the mark must not join the
+        # first column's name
+        tmp_path, csv_path = workdir
+        lines = csv_path.read_text(encoding="utf-8").splitlines()
+        if target_first:
+            lines = [",".join([line.split(",")[-1], *line.split(",")[:-1]]) for line in lines]
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        docs = []
+        for path in (plain, marked):
+            out = tmp_path / path.stem
+            assert main(partition_argv(path, out)) == 0
+            doc = read_json(out / "views.json")
+            docs.append({k: v for k, v in doc.items() if k != "config"})
+        assert docs[0]["feature_names"] == [f"f{j}" for j in range(12)]
+        assert docs[1] == docs[0]
 
     def test_rerun_is_byte_identical(self, workdir):
         tmp_path, csv_path = workdir
@@ -780,6 +810,16 @@ class TestImportProba:
         assert main(argv) == 0, capsys.readouterr().err
         assert (tmp_path / "metrics.json").read_bytes() == expected
 
+    def test_byte_order_mark_is_skipped(self, proba_dir, capsys):
+        tmp_path, pdir, _ = proba_dir
+        argv = ["evaluate", "--out", str(tmp_path), "--import-proba", str(pdir)]
+        assert main(argv) == 0
+        expected = (tmp_path / "metrics.json").read_bytes()
+        path = pdir / "theta_1.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert main(argv) == 0, capsys.readouterr().err
+        assert (tmp_path / "metrics.json").read_bytes() == expected
+
 
 class TestDiagnoseCommand:
     def test_report_artifact_and_stdout(self, partitioned, capsys):
@@ -1253,6 +1293,16 @@ class TestStatsCommand:
         expected = (tmp_path / "verdicts.json").read_bytes()
         with open(tmp_path / "acc.csv", "a", encoding="utf-8") as fh:
             fh.write("\n")
+        assert main(argv) == 0, capsys.readouterr().err
+        assert (tmp_path / "verdicts.json").read_bytes() == expected
+
+    def test_byte_order_mark_is_skipped(self, matrices, capsys):
+        tmp_path = matrices
+        argv = self.stats_argv(tmp_path)
+        assert main(argv) == 0
+        expected = (tmp_path / "verdicts.json").read_bytes()
+        path = tmp_path / "acc.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
         assert main(argv) == 0, capsys.readouterr().err
         assert (tmp_path / "verdicts.json").read_bytes() == expected
 

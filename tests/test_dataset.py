@@ -258,11 +258,22 @@ class TestDiscretize:
         assert coded.codes[:, 0].tolist() == [0, 0, 1, 1, 2, 2, 3, 3, 4, 4]
         assert coded.cardinalities[0] == 5
 
-    def test_constant_column(self):
-        d = make_dataset([[7.0], [7.0], [7.0], [7.0]], [0, 1, 0, 1])
-        coded = discretize(d, bins=10)
+    @pytest.mark.parametrize("strategy", ["equal_frequency", "equal_width"])
+    @pytest.mark.parametrize("value", [7.0, 7.5])  # integral, then cut by the edges
+    def test_constant_column(self, value, strategy):
+        d = make_dataset([[value], [value], [value], [value]], [0, 1, 0, 1])
+        coded = discretize(d, bins=10, strategy=strategy)
         assert coded.codes[:, 0].tolist() == [0, 0, 0, 0]
         assert coded.cardinalities[0] == 1
+
+    @pytest.mark.parametrize("strategy", ["equal_frequency", "equal_width"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_cell_is_refused(self, value, strategy):
+        X = np.arange(12.0).reshape(6, 2) / 3
+        X[4, 1] = value
+        d = make_dataset(X, [0, 1] * 3, names=("a", "b"))
+        with pytest.raises(DataError, match="column 'b' holds a non-finite value at row index 4"):
+            discretize(d, bins=3, strategy=strategy)
 
     def test_integral_passthrough(self):
         d = make_dataset([[0.0], [1.0], [0.0], [2.0]], [0, 1, 0, 1])

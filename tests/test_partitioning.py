@@ -15,7 +15,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from spfp.dataset import Dataset, discretize
-from spfp.errors import ConfigError
+from spfp.errors import ConfigError, DataError
 from spfp.infometrics import (
     conditional_mutual_information,
     joint_entropy,
@@ -350,6 +350,19 @@ def make_viewset(id_lists, n_features):
         h_fy=0.0,
         n_features=n_features,
     )
+
+
+class TestNonFiniteFeature:
+    def test_nan_cell_fails_before_selection(self):
+        # a NaN in a pure-noise column used to score NaN, win the first
+        # step and end up a one-code column in the view
+        rng = np.random.default_rng(5)
+        X = rng.normal(size=(200, 6))
+        y = (X[:, 0] + X[:, 1] > 0).astype(np.intp)
+        X[17, 4] = np.nan
+        d = make_dataset(X, y)
+        with pytest.raises(DataError, match="column 'f4' holds a non-finite value at row index 17"):
+            partition(d, SpfpConfig(n_views=1, seed=0))
 
 
 class TestViewStats:
