@@ -212,7 +212,9 @@ def _read_cache(cache: Path, rc: RunConfig, *names: str) -> tuple[dict, dict] | 
         n, n_train, width = meta["n_rows"], meta["n_train_rows"], len(meta["feature_names"])
         expected = {  # dtype and shape: the parsed table, then the training rows
             "features": (np.float64, (n, width)), "target": (np.intp, (n,)),
-            "codes": (np.intp, (n_train, width)), "cardinalities": (np.intp, (width,)),
+            # discretize's code dtype; codes saved in another one read as a miss
+            "codes": (np.min_scalar_type(rc.bins - 1), (n_train, width)),
+            "cardinalities": (np.intp, (width,)),
             "train_target": (np.intp, (n_train,)),
         }
         arrays = {}

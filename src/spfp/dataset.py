@@ -68,7 +68,9 @@ class CodedMatrix:
     Codes are dense: every value 0..card-1 occurs in column j, which has
     ``cardinalities[j]`` of them. `discretize` stores them column-major, so
     ``codes.T``, the feature-major layout the counting kernels read, is not
-    a copy.
+    a copy. The codes are in the narrowest unsigned dtype that holds
+    ``bins - 1`` (uint8 up to 256 bins); arithmetic wraps in that dtype, so
+    a caller casts them to ``np.intp`` before building a key from them.
     """
 
     codes: np.ndarray
@@ -151,9 +153,14 @@ def _load_clean(lines, target_idx: int, width: int):
         return None
     if x.shape[0] == 0 or x.shape[1] != width or not np.isfinite(x).all():
         return None
-    features = np.delete(x, target_idx, axis=1)
     target = x[:, target_idx].astype(np.intp)
-    return features, target, tuple(class_index), 0, 0
+    # Drop the target column in place: shift the cells right of it one to
+    # the left, 256 rows at a time, so the overlapping copy needs only a
+    # block-sized temporary instead of a second table.
+    for lo in range(0, x.shape[0], 256):
+        block = x[lo:lo + 256]
+        block[:, target_idx:-1] = block[:, target_idx + 1:]
+    return x[:, :-1], target, tuple(class_index), 0, 0
 
 
 def _load_rows(reader, header, feature_names, target_idx: int, missing_policy: str, path):
@@ -298,6 +305,7 @@ def discretize(d: Dataset, bins: int = 10, strategy: str = "equal_frequency") ->
     duplicate cut points are merged, so cardinality may come out below
     `bins` and a constant column gets cardinality 1. Coding is
     order-preserving per column. A NaN or infinite cell raises DataError.
+    The codes' dtype is ``np.min_scalar_type(bins - 1)``.
     """
     if bins < 2:
         raise ConfigError(f"bins must be >= 2, got {bins}")
@@ -305,7 +313,7 @@ def discretize(d: Dataset, bins: int = 10, strategy: str = "equal_frequency") ->
         raise ConfigError(f"unknown strategy {strategy!r}, expected one of {DISCRETIZERS}")
 
     n_cols = d.n_features
-    codes = np.empty((d.n_rows, n_cols), dtype=np.intp, order="F")
+    codes = np.empty((d.n_rows, n_cols), dtype=np.min_scalar_type(bins - 1), order="F")
     cards = np.empty(n_cols, dtype=np.intp)
     for j in range(n_cols):
         col = d.features[:, j]
@@ -318,7 +326,11 @@ def discretize(d: Dataset, bins: int = 10, strategy: str = "equal_frequency") ->
             coded = np.searchsorted(uniques, col)
         else:
             if strategy == "equal_width":
-                edges = np.linspace(col.min(), col.max(), bins + 1)[1:-1]
+                lo, hi = col.min(), col.max()
+                if math.isfinite(float(hi) - float(lo)):
+                    edges = np.linspace(lo, hi, bins + 1)[1:-1]
+                else:  # the span overflows; halving and doubling are exact
+                    edges = 2 * np.linspace(lo / 2, hi / 2, bins + 1)[1:-1]
             else:
                 qs = np.arange(1, bins) / bins
                 edges = np.quantile(col, qs)

@@ -28,10 +28,13 @@ __all__ = [
     "pearson_abs",
 ]
 
-# Elements per column chunk of a winner sweep (2 MiB of int64 keys): the key
-# block and the count table stay in cache, which measured about a third
-# faster than one whole-matrix chunk on a 6,700 x 500 code matrix.
-_SWEEP_BLOCK = 1 << 18
+# Elements per column chunk of a counting sweep (1 MiB of int64 keys): the
+# key block and the count table stay in cache, which measured about a third
+# faster than one whole-matrix chunk on a 6,700 x 500 code matrix. At 2^18
+# the sweeps' own temporaries set `partition`'s peak RSS on the 3k x 150
+# benchmark workload's seed-11 inputs (44.8 MB, against 42.9 MB at 2^17,
+# where loading sets it), with no faster partition().
+_SWEEP_BLOCK = 1 << 17
 
 
 def _as_codes(column, name: str = "column") -> np.ndarray:
@@ -128,9 +131,13 @@ class RowPartition:
         card = int(codes.max()) + 1
         key = self.group_id * card + codes
         # Dense recode: occupied keys -> 0..n_groups-1, preserving key order.
-        # When the n_groups * card cells outnumber the rows, sorting the keys
-        # costs less memory than counting every cell, and gives the same order.
-        if self.n_groups * card > n_rows:
+        # Counting every cell is the faster path while the n_groups * card
+        # cells number no more than the rows or 2^16 (512 KiB of counts);
+        # past both, sorting the keys costs less memory and gives the same
+        # order. On the 4,020 training rows of the 6k x 66 benchmark
+        # workload the 2^16 floor took partition() from 77-79 to 69-73 ms
+        # (min of 9 runs), which pays for casting its uint8 codes.
+        if self.n_groups * card > max(n_rows, 1 << 16):
             _, group_id, sizes = np.unique(key, return_inverse=True, return_counts=True)
             return RowPartition(
                 group_id=group_id, n_groups=int(sizes.shape[0]), group_sizes=sizes
@@ -232,9 +239,10 @@ class PairCache:
     """
 
     def __init__(self, codes: np.ndarray, cardinalities, target) -> None:
-        # One contiguous row per feature: a sweep's keys then fill each
-        # column's count block in turn instead of scattering over all of them.
-        self._cols = np.ascontiguousarray(np.asarray(codes).T, dtype=np.intp)
+        # One contiguous row per feature, in the codes' own dtype: a sweep's
+        # keys then fill each column's count block in turn instead of
+        # scattering over all of them.
+        self._cols = np.ascontiguousarray(np.asarray(codes).T)
         self._cards = np.asarray(cardinalities, dtype=np.intp)
         self._target = _as_codes(target, "target")
         if self._cols.shape[1] != self._target.shape[0]:
@@ -242,16 +250,8 @@ class PairCache:
         self._n = self._cols.shape[1]
         self._t_card = int(self._target.max()) + 1
         self._h_target = entropy(self._target)
-        # each feature's (code, Y) keys, offset into a block of its own;
-        # summing a feature's (code, Y) table over Y gives its code counts
-        n_feat, k = self._cols.shape[0], int(self._cards.max())
-        key = self._cols + np.arange(n_feat)[:, None] * k
-        key *= self._t_card
-        key += self._target
-        counts = np.bincount(key.ravel(), minlength=n_feat * k * self._t_card)
-        counts = counts.reshape(n_feat, k, self._t_card)
-        self._h_feat_t = _entropies(counts.reshape(n_feat, -1))
-        self._h_feat = _entropies(counts.sum(axis=2))
+        # H(f) and H(f,Y) of every feature: the sweep of a constant winner
+        self._h_feat, self._h_feat_t = self._sweep(self._target, 1)
         self.mi_y = np.maximum(0.0, self._h_feat + self._h_target - self._h_feat_t)
         self._winner: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self.memo_hits = 0
@@ -261,35 +261,43 @@ class PairCache:
         """The codes, feature-major: row i is feature i's column."""
         return self._cols
 
-    def winner_stats(self, w: int) -> tuple[np.ndarray, np.ndarray]:
-        """(I(f_w;f_c), I(f_w;f_c|Y)) for every feature c, as two arrays.
+    def _sweep(self, wy: np.ndarray, k_w: int) -> tuple[np.ndarray, np.ndarray]:
+        """(H(W,f_c), H(W,Y,f_c)) for every feature c, where the intp array
+        `wy` holds W * n_y + Y of each row and W takes `k_w` values.
 
-        One `bincount` per column chunk counts the (f_w, Y, f_c) table of
-        every column at once; summing out Y gives the (f_w, f_c) table.
+        One `bincount` per column chunk counts the (W, Y, f_c) table of
+        every column at once; summing out Y gives the (W, f_c) table.
         Column chunks keep the key block and the count table within
         `_SWEEP_BLOCK` elements, unless one column's table alone is larger.
         """
-        hit = self._winner.get(w)
-        if hit is not None:
-            self.memo_hits += 1
-            return hit
-        n_feat = self._cols.shape[0]
-        n_y, k_w = self._t_card, int(self._cards[w])
-        wy = self._cols[w] * n_y + self._target
+        n_feat, n_y = self._cols.shape[0], self._t_card
         h_wc = np.empty(n_feat)
         h_wcy = np.empty(n_feat)
         k_max = int(self._cards.max())
         width = max(1, min(n_feat, _SWEEP_BLOCK // max(self._n, k_w * n_y * k_max)))
+        buf = np.empty((width, self._n), dtype=np.intp)  # every chunk's keys
         for lo in range(0, n_feat, width):
             hi = min(lo + width, n_feat)
             k = int(self._cards[lo:hi].max())
             cells = k_w * n_y * k
-            offsets = np.arange(hi - lo)[:, None] * cells
-            key = self._cols[lo:hi] + (wy * k + offsets)
+            key = np.add(self._cols[lo:hi], wy * k, out=buf[: hi - lo])
+            key += np.arange(hi - lo)[:, None] * cells
             counts = np.bincount(key.ravel(), minlength=(hi - lo) * cells)
             counts = counts.reshape(hi - lo, k_w, n_y, k)
             h_wcy[lo:hi] = _entropies(counts.reshape(hi - lo, -1))
             h_wc[lo:hi] = _entropies(counts.sum(axis=2).reshape(hi - lo, -1))
+        return h_wc, h_wcy
+
+    def winner_stats(self, w: int) -> tuple[np.ndarray, np.ndarray]:
+        """(I(f_w;f_c), I(f_w;f_c|Y)) for every feature c, as two arrays,
+        from one counting sweep with f_w as the winner."""
+        hit = self._winner.get(w)
+        if hit is not None:
+            self.memo_hits += 1
+            return hit
+        # cast first: narrow codes times n_y would wrap in their own dtype
+        wy = self._cols[w].astype(np.intp) * self._t_card + self._target
+        h_wc, h_wcy = self._sweep(wy, int(self._cards[w]))
         h_f, h_fy = self._h_feat, self._h_feat_t
         mi = np.maximum(0.0, h_f[w] + h_f - h_wc)
         cmi = np.maximum(0.0, h_fy[w] + h_fy - h_wcy - self._h_target)

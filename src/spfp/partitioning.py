@@ -189,15 +189,24 @@ def relevance_vector(
         ys = [target.astype(np.float64)]
     else:  # "max_ovr"
         ys = [(target == c).astype(np.float64) for c in range(n_classes)]
-    xc = features - features.mean(axis=0)
-    xnorm = np.sqrt((xc * xc).sum(axis=0))
+    mean = features.mean(axis=0)
+    xc = features - mean
+    ycs = [y - y.mean() for y in ys]
+    dots = [xc.T @ yc for yc in ycs]
+    with np.errstate(over="ignore"):
+        xnorm = np.sqrt(np.square(xc, out=xc).sum(axis=0))  # xc is spent
+    for j in np.flatnonzero(~np.isfinite(xnorm)):
+        # the squares overflowed: take the norm of the column scaled to
+        # |xc| <= 1, then scale back
+        col = features[:, j] - mean[j]
+        scale = np.abs(col).max()
+        xnorm[j] = math.sqrt(float(np.square(col / scale).sum())) * scale
     best = np.zeros(features.shape[1])
-    for y in ys:
-        yc = y - y.mean()
+    for yc, dot in zip(ycs, dots):
         ynorm = math.sqrt(float((yc * yc).sum()))
         denom = xnorm * ynorm
         with np.errstate(invalid="ignore", divide="ignore"):
-            r = np.abs(xc.T @ yc) / denom
+            r = np.abs(dot) / denom
         r[denom == 0.0] = 0.0
         best = np.maximum(best, np.minimum(r, 1.0))
     return best

@@ -1160,6 +1160,18 @@ class TestParseCache:
         expected = {stage: "miss" if stage.startswith(reader) else "hit" for stage in logs}
         assert self.outcomes(logs) == expected
 
+    def test_int64_codes_of_an_older_cache_are_a_miss(self, partitioned):
+        # a cache written before the codes were narrowed holds them as int64
+        tmp_path, _ = partitioned
+        codes_path = tmp_path / CACHE_DIR / "codes.npy"
+        assert np.load(codes_path).dtype == np.uint8
+        assert main(["diagnose", "--out", str(tmp_path)]) == 0
+        narrow = (tmp_path / "independence.json").read_bytes()
+        np.save(codes_path, np.load(codes_path).astype(np.int64))
+        assert main(["diagnose", "--out", str(tmp_path)]) == 0
+        assert read_json(tmp_path / "run_log.json")["diagnose"]["parse_cache"] == "miss"
+        assert (tmp_path / "independence.json").read_bytes() == narrow
+
     @pytest.mark.parametrize("content", ["{not json", "[]", '{"key": null}', ""])
     def test_damaged_key_file_is_a_miss(self, partitioned, content):
         tmp_path, _ = partitioned

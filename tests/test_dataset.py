@@ -226,8 +226,9 @@ class TestOnePassParse:
                 load_csv(path, "y")
 
     def test_clean_file_peak_memory_stays_on_the_one_pass_parse(self, tmp_path, monkeypatch):
-        # 2,000 x 100 features: the one-pass parse peaks at 3.3 MB (the float
-        # block plus its copy without the target), the cell loop at 8.5 MB
+        # 2,000 x 100 features: the one-pass parse peaks at 2.0 MB (the float
+        # block, from which the target column is dropped in place; a copy
+        # without the target would take it to 3.3 MB), the cell loop at 8.5 MB
         # (row lists of Python floats), so the bound sits between the two.
         rng = np.random.default_rng(5)
         x = rng.normal(size=(2000, 100))
@@ -248,7 +249,25 @@ class TestOnePassParse:
         with monkeypatch.context() as m:
             m.setattr(dataset, "_load_clean", lambda *args: None)
             loop_peak, _ = peak(lambda: load_csv(path, "y"))
-        assert fast_peak < 5_000_000 < loop_peak
+        assert fast_peak < 3_000_000 < loop_peak
+
+    @pytest.mark.parametrize("target", [0, 3, 6], ids=["first", "middle", "last"])
+    def test_features_are_the_parsed_block_without_the_target(self, tmp_path, target):
+        # 600 rows: the target column is dropped in blocks of 256 rows
+        rng = np.random.default_rng(target)
+        x = rng.normal(size=(600, 6))
+        labels = rng.integers(0, 3, size=600)
+        header = [f"f{j}" for j in range(6)]
+        header.insert(target, "y")
+        lines = [",".join(header)]
+        for row, label in zip(x.tolist(), labels):
+            cells = list(map(repr, row))
+            cells.insert(target, f"c{label}")
+            lines.append(",".join(cells))
+        d = load_csv(write_csv(tmp_path / "t.csv", lines), "y")
+        parsed = np.insert(x, target, d.target, axis=1)  # as np.loadtxt reads the file
+        assert np.array_equal(d.features, np.delete(parsed, target, axis=1))
+        assert d.feature_names == tuple(f"f{j}" for j in range(6))
 
 
 class TestDiscretize:
@@ -309,7 +328,30 @@ class TestDiscretize:
                 assert col.max() == card - 1
                 assert np.unique(col).shape[0] == card  # every code occurs
                 order = np.argsort(X[:, j], kind="stable")
-                assert (np.diff(col[order]) >= 0).all()
+                assert (np.diff(col[order].astype(np.intp)) >= 0).all()  # uint8 would wrap
+
+    def test_equal_width_span_past_the_float_range(self):
+        # max - min overflows on column a; column b keeps its cuts at 1..9
+        X = np.array([[-1e308, 0.0], [1e308, 1.0], [0.0, 2.5], [1.5, 10.0]])
+        d = make_dataset(X, [0, 1, 0, 1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            coded = discretize(d, bins=10, strategy="equal_width")
+        assert coded.codes.T.tolist() == [[0, 3, 1, 2], [0, 0, 1, 2]]
+        assert coded.cardinalities.tolist() == [4, 3]
+        assert discretize(d, bins=10).codes[:, 0].tolist() == [0, 3, 1, 2]
+
+    @pytest.mark.parametrize("bins,dtype", [(2, np.uint8), (10, np.uint8), (256, np.uint8),
+                                            (257, np.uint16), (300, np.uint16)])
+    def test_codes_take_the_narrowest_unsigned_dtype(self, bins, dtype):
+        rng = np.random.default_rng(bins)
+        X = rng.normal(size=(900, 2))
+        X[:, 1] = rng.integers(0, 2, size=900)  # integral passthrough column
+        d = make_dataset(X, rng.integers(0, 2, size=900))
+        coded = discretize(d, bins=bins)
+        assert coded.codes.dtype == dtype
+        assert coded.cardinalities.tolist() == [bins, 2]
+        assert int(coded.codes[:, 0].max()) == bins - 1
 
     def test_pair_cache_reads_the_codes_without_a_copy(self):
         rng = np.random.default_rng(12)

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from spfp.dataset import Dataset, discretize
 from spfp.infometrics import (
     PairCache,
     RowPartition,
@@ -319,6 +320,28 @@ class TestRowPartition:
             assert refined.n_groups == n_groups
             assert np.array_equal(refined.group_sizes, sizes)
 
+    @pytest.mark.parametrize("past", [False, True], ids=["dense", "sorted"])
+    def test_paths_agree_at_the_dense_bound(self, monkeypatch, past):
+        # n_groups * card on either side of the 2^16 cells refine counts
+        # densely when the rows are fewer
+        rng = np.random.default_rng(7)
+        n = 3000
+        part = RowPartition.from_columns([random_codes(rng, n, 500)])
+        card = (1 << 16) // part.n_groups + past
+        codes = random_codes(rng, n, card)
+        codes[0] = card - 1
+        assert (part.n_groups * card > 1 << 16) == past
+        sorts = []
+        unique = np.unique
+        monkeypatch.setattr(np, "unique", lambda *a, **k: sorts.append(1) or unique(*a, **k))
+        refined = part.refine(codes.astype(np.uint16))
+        monkeypatch.undo()
+        assert bool(sorts) == past
+        group_id, n_groups, sizes = self.dense_refine(part, codes)
+        assert np.array_equal(refined.group_id, group_id)
+        assert refined.n_groups == n_groups
+        assert np.array_equal(refined.group_sizes, sizes)
+
     def test_high_cardinality_refine_stays_small(self):
         # 15k groups x 30k codes would be 4.5e8 dense cells (3.6 GB of counts).
         n = 30_000
@@ -387,6 +410,24 @@ class TestPairCache:
             for c in range(d):
                 assert mi[c] == mutual_information(codes[:, w], codes[:, c])
                 assert cmi[c] == conditional_mutual_information(codes[:, w], codes[:, c], target)
+
+    def test_narrow_codes_equal_intp_codes(self):
+        # uint8 codes at 64 bins and 20 classes: a (f_w, Y) key built in
+        # uint8 would wrap (63 * 20 = 1260)
+        rng = np.random.default_rng(64)
+        n, d = 800, 10
+        target = np.arange(n) % 20
+        X = rng.normal(size=(n, d)) + target[:, None] * 0.1
+        coded = discretize(Dataset(X, tuple(map(str, range(d))), target,
+                                   tuple(map(str, range(20)))), bins=64)
+        assert coded.codes.dtype == np.uint8
+        narrow = PairCache(coded.codes, coded.cardinalities, target)
+        wide = PairCache(coded.codes.astype(np.intp), coded.cardinalities, target)
+        assert narrow.columns.dtype == np.uint8
+        assert np.array_equal(narrow.mi_y, wide.mi_y)
+        for w in range(d):
+            for got, expected in zip(narrow.winner_stats(w), wide.winner_stats(w)):
+                assert np.array_equal(got, expected)
 
     def test_mi_with_target(self):
         # bit for bit against the free function, one entry per feature

@@ -7,6 +7,7 @@ cache that the production path uses.
 """
 
 import math
+import tracemalloc
 import warnings
 from collections import Counter
 
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from spfp.dataset import Dataset, discretize
+from spfp.dataset import CodedMatrix, Dataset, discretize
 from spfp.errors import ConfigError, DataError
 from spfp.infometrics import (
     conditional_mutual_information,
@@ -30,6 +31,7 @@ from spfp.partitioning import (
     conditional_independence_report,
     criteria_met,
     partition,
+    relevance_vector,
     view_stats,
 )
 
@@ -350,6 +352,55 @@ def make_viewset(id_lists, n_features):
         h_fy=0.0,
         n_features=n_features,
     )
+
+
+class TestNarrowCodes:
+    def test_views_equal_those_of_intp_codes(self):
+        # uint8 codes at 64 bins and 20 classes, where a (f_w, Y) key built
+        # in uint8 would wrap (63 * 20 = 1260)
+        rng = np.random.default_rng(20)
+        n = 1000
+        y = np.arange(n) % 20
+        d = make_dataset(rng.normal(size=(n, 12)) + (y[:, None] % 3) * 0.5, y)
+        cfg = SpfpConfig(n_views=3, min_features=3, bins=64)
+        coded = discretize(d, cfg.bins)
+        assert coded.codes.dtype == np.uint8
+        wide = CodedMatrix(coded.codes.astype(np.intp), coded.cardinalities)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # views may exhaust their pools
+            got, expected = partition(d, cfg, coded), partition(d, cfg, wide)
+        assert [v.feature_ids for v in got.views] == [v.feature_ids for v in expected.views]
+        assert [v.scores for v in got.views] == [v.scores for v in expected.views]
+        assert (got.h_f, got.h_fy) == (expected.h_f, expected.h_fy)
+
+    def test_peak_memory_at_the_wide_benchmark_shape(self):
+        # 2,010 x 150, 10 classes: the codes in uint8, the table centred once
+        # and squared in place, and key blocks of _SWEEP_BLOCK elements peak
+        # at 3.75 MiB; intp codes, their intp copy and whole-table keys took
+        # 8.0 MiB.
+        rng = np.random.default_rng(0)
+        d = make_dataset(rng.normal(size=(2010, 150)), rng.integers(0, 10, size=2010))
+        tracemalloc.start()
+        try:
+            partition(d, SpfpConfig(), discretize(d))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20
+
+
+class TestRelevance:
+    def test_overflowing_squares_keep_the_correlation(self):
+        rng = np.random.default_rng(47)
+        y = rng.integers(0, 3, size=200)
+        x = y + rng.normal(size=200)
+        features = np.column_stack([x, x * 1e160])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = relevance_vector(features, y, 3)
+        assert_allclose(r[0], pearson_abs(x, y), rtol=0, atol=1e-12)
+        assert_allclose(r[1], r[0], rtol=0, atol=1e-12)
+        assert r[0] > 0.5
 
 
 class TestNonFiniteFeature:
