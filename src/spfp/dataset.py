@@ -154,13 +154,16 @@ def _load_clean(lines, target_idx: int, width: int):
     if x.shape[0] == 0 or x.shape[1] != width or not np.isfinite(x).all():
         return None
     target = x[:, target_idx].astype(np.intp)
-    # Drop the target column in place: shift the cells right of it one to
-    # the left, 256 rows at a time, so the overlapping copy needs only a
-    # block-sized temporary instead of a second table.
-    for lo in range(0, x.shape[0], 256):
-        block = x[lo:lo + 256]
-        block[:, target_idx:-1] = block[:, target_idx + 1:]
-    return x[:, :-1], target, tuple(class_index), 0, 0
+    # Drop the target column in place: compact the rows, 256 at a time, to
+    # the front of the buffer as a C-contiguous (n, width - 1) table. Row i
+    # moves to offset i * (width - 1) <= i * width, so a block overwrites
+    # only rows already moved, and it needs a block-sized temporary
+    # instead of a second table.
+    n, d = x.shape[0], width - 1
+    features = x.reshape(-1)[: n * d].reshape(n, d)
+    for lo in range(0, n, 256):
+        features[lo:lo + 256] = np.delete(x[lo:lo + 256], target_idx, axis=1)
+    return features, target, tuple(class_index), 0, 0
 
 
 def _load_rows(reader, header, feature_names, target_idx: int, missing_policy: str, path):
@@ -288,12 +291,81 @@ def load_csv(path, target_column, missing_policy: str = "error") -> Dataset:
     )
 
 
-def _dense_recode(raw: np.ndarray) -> np.ndarray:
-    """Map codes onto 0..k-1 preserving order, so every code occurs."""
-    occupied = np.flatnonzero(np.bincount(raw))
-    remap = np.empty(occupied[-1] + 1, dtype=np.intp)
-    remap[occupied] = np.arange(occupied.shape[0])
-    return remap[raw]
+# Elements per column block of `discretize` (512 KiB of float64): a block's
+# sort, compares and keys stay small beside the table, and a few blocks
+# cover a table of a few hundred columns.
+_CODE_BLOCK = 1 << 16
+
+
+def _sorted_quantiles(s: np.ndarray, qs: np.ndarray) -> np.ndarray:
+    """``np.quantile(s, qs, axis=0)`` read off the column-sorted `s`, bit
+    for bit: numpy's default linear method, its indexes and its two-sided
+    interpolation, without its partition of a copy."""
+    n = s.shape[0]
+    virtual = (n - 1) * qs
+    previous = np.floor(virtual)
+    previous[virtual >= n - 1] = -1  # at or past the end: the last value
+    lo = previous.astype(np.intp)
+    hi = np.where(lo < 0, -1, lo + 1)
+    gamma = (virtual - previous)[:, None]
+    a, b = s[lo], s[hi]
+    # A gap past the float range gives an inf or NaN edge, as in numpy; the
+    # cut counts it as searchsorted does, below every value or above.
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = b - a
+        out = a + diff * gamma
+        np.subtract(b, diff * (1 - gamma), out=out, where=gamma >= 0.5)
+    return out
+
+
+def _raw_codes(x: np.ndarray, bins: int, strategy: str, dtype) -> np.ndarray:
+    """Order-preserving codes in 0..bins-1, in `dtype`, of every column of
+    the finite float64 block `x`, not yet dense.
+
+    An integral column spanning fewer than `bins` values passes through as
+    x - min, which is exact. Any other column is cut: its code is the
+    number of its edges below the value, the count ``searchsorted(edges,
+    side="left")`` gives. A repeated edge only skips a code, which the dense
+    recode closes. An integral column with at most `bins` distinct values
+    is cut at all of them but the largest, which passes it through too.
+    Only the cut columns are sorted.
+    """
+    integral = (x == np.floor(x)).all(axis=0)
+    small = integral.copy()
+    with np.errstate(over="ignore"):  # an overflowing span is not small
+        small[integral] = np.ptp(x[:, integral], axis=0) < bins
+    cut = np.flatnonzero(~small)
+    raw = np.empty(x.shape, dtype=dtype)
+    if cut.size < x.shape[1]:
+        xs = x[:, small]
+        raw[:, small] = xs - xs.min(axis=0)
+    if cut.size == 0:
+        return raw
+    xc = x if cut.size == x.shape[1] else x[:, cut]
+    s = np.sort(xc, axis=0)
+    edges = np.full((bins - 1, cut.size), np.inf)
+    step = s[1:] != s[:-1]
+    passing = integral[cut] & (step.sum(axis=0) < bins)
+    for i in np.flatnonzero(passing):
+        distinct = s[np.flatnonzero(step[:, i]), i]  # all but the largest
+        edges[: distinct.shape[0], i] = distinct
+    rest = np.flatnonzero(~passing)
+    if strategy == "equal_width":
+        for i in rest:
+            lo, hi = s[0, i], s[-1, i]
+            if math.isfinite(float(hi) - float(lo)):
+                edges[:, i] = np.linspace(lo, hi, bins + 1)[1:-1]
+            else:  # the span overflows; halving and doubling are exact
+                edges[:, i] = 2 * np.linspace(lo / 2, hi / 2, bins + 1)[1:-1]
+    else:
+        edges[:, rest] = _sorted_quantiles(s[:, rest], np.arange(1, bins) / bins)
+    counts = np.zeros(xc.shape, dtype=dtype)
+    for e in edges:
+        counts += xc > e
+    if cut.size == x.shape[1]:
+        return counts
+    raw[:, cut] = counts
+    return raw
 
 
 def discretize(d: Dataset, bins: int = 10, strategy: str = "equal_frequency") -> CodedMatrix:
@@ -305,40 +377,34 @@ def discretize(d: Dataset, bins: int = 10, strategy: str = "equal_frequency") ->
     duplicate cut points are merged, so cardinality may come out below
     `bins` and a constant column gets cardinality 1. Coding is
     order-preserving per column. A NaN or infinite cell raises DataError.
-    The codes' dtype is ``np.min_scalar_type(bins - 1)``.
+    The features are read as float64, in column blocks of `_CODE_BLOCK`
+    cells. The codes' dtype is ``np.min_scalar_type(bins - 1)``.
     """
     if bins < 2:
         raise ConfigError(f"bins must be >= 2, got {bins}")
     if strategy not in DISCRETIZERS:
         raise ConfigError(f"unknown strategy {strategy!r}, expected one of {DISCRETIZERS}")
 
-    n_cols = d.n_features
-    codes = np.empty((d.n_rows, n_cols), dtype=np.min_scalar_type(bins - 1), order="F")
+    n_rows, n_cols = d.features.shape
+    dtype = np.min_scalar_type(bins - 1)
+    codes = np.empty((n_rows, n_cols), dtype=dtype, order="F")
     cards = np.empty(n_cols, dtype=np.intp)
-    for j in range(n_cols):
-        col = d.features[:, j]
-        if not np.isfinite(col).all():
-            row = int(np.argmin(np.isfinite(col)))
-            raise DataError(f"column '{d.feature_names[j]}' holds a non-finite value "
+    width = max(1, _CODE_BLOCK // max(1, n_rows))
+    for lo in range(0, n_cols, width):
+        x = np.asarray(d.features[:, lo:lo + width], dtype=np.float64)
+        finite = np.isfinite(x)
+        if not finite.all():
+            j = int(np.argmin(finite.all(axis=0)))
+            row = int(np.argmin(finite[:, j]))
+            raise DataError(f"column '{d.feature_names[lo + j]}' holds a non-finite value "
                             f"at row index {row}")
-        uniques = np.unique(col)
-        if uniques.shape[0] <= bins and np.all(col == np.floor(col)):
-            coded = np.searchsorted(uniques, col)
-        else:
-            if strategy == "equal_width":
-                lo, hi = col.min(), col.max()
-                if math.isfinite(float(hi) - float(lo)):
-                    edges = np.linspace(lo, hi, bins + 1)[1:-1]
-                else:  # the span overflows; halving and doubling are exact
-                    edges = 2 * np.linspace(lo / 2, hi / 2, bins + 1)[1:-1]
-            else:
-                qs = np.arange(1, bins) / bins
-                edges = np.quantile(col, qs)
-            edges = np.unique(edges)
-            coded = np.searchsorted(edges, col, side="left")
-            coded = _dense_recode(coded)
-        codes[:, j] = coded
-        cards[j] = int(coded.max()) + 1
+        # Dense recode: each column's occupied codes -> 0..card-1, in order.
+        key = _raw_codes(x, bins, strategy, dtype).astype(np.intp)
+        key += np.arange(x.shape[1]) * bins
+        occupied = np.bincount(key.ravel(), minlength=x.shape[1] * bins).reshape(-1, bins) > 0
+        cards[lo:lo + width] = occupied.sum(axis=1)
+        remap = (np.cumsum(occupied, axis=1) - 1).astype(dtype)
+        codes[:, lo:lo + width] = remap.ravel()[key]
     return CodedMatrix(codes=codes, cardinalities=cards)
 
 

@@ -232,10 +232,14 @@ class PairCache:
     """Pairwise MI and CMI-given-target, in bits, memoised by feature.
 
     `mi_y` holds I(f;Y) of every feature. `winner_stats` computes a feature
-    against every feature in one counting sweep; the greedy search calls it
-    once per selected feature, and a feature selected again in a later view
-    reuses it. `sweeps` counts the sweeps made and `memo_hits` the calls
-    that reused one.
+    against every live feature in one counting sweep; the greedy search
+    calls it once per selected feature, and a feature selected again in a
+    later view reuses it. A sweep counts only the live features that were
+    not themselves a winner: the entry of an earlier winner c is read from
+    c's own sweep, which counted the same table transposed. Features passed
+    to `retire` are left out of every later sweep, and their entries are
+    NaN. `sweeps` counts the sweeps made, `memo_hits` the calls that reused
+    one, and ``len()`` the pair statistics the sweeps counted.
     """
 
     def __init__(self, codes: np.ndarray, cardinalities, target) -> None:
@@ -251,9 +255,12 @@ class PairCache:
         self._t_card = int(self._target.max()) + 1
         self._h_target = entropy(self._target)
         # H(f) and H(f,Y) of every feature: the sweep of a constant winner
-        self._h_feat, self._h_feat_t = self._sweep(self._target, 1)
+        self._h_feat, self._h_feat_t = self._sweep(
+            self._target, 1, np.arange(self._cols.shape[0]))
         self.mi_y = np.maximum(0.0, self._h_feat + self._h_target - self._h_feat_t)
         self._winner: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._live = np.ones(self._cols.shape[0], dtype=bool)
+        self._counted = 0
         self.memo_hits = 0
 
     @property
@@ -261,16 +268,22 @@ class PairCache:
         """The codes, feature-major: row i is feature i's column."""
         return self._cols
 
-    def _sweep(self, wy: np.ndarray, k_w: int) -> tuple[np.ndarray, np.ndarray]:
-        """(H(W,f_c), H(W,Y,f_c)) for every feature c, where the intp array
-        `wy` holds W * n_y + Y of each row and W takes `k_w` values.
+    def retire(self, ids) -> None:
+        """Leave features `ids` out of every later sweep; a retired feature
+        must never be scored again."""
+        self._live[np.asarray(ids, dtype=np.intp)] = False
+
+    def _sweep(self, wy: np.ndarray, k_w: int, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(H(W,f_c), H(W,Y,f_c)) for every feature c in `ids`, where the
+        intp array `wy` holds W * n_y + Y of each row and W takes `k_w`
+        values.
 
         One `bincount` per column chunk counts the (W, Y, f_c) table of
         every column at once; summing out Y gives the (W, f_c) table.
         Column chunks keep the key block and the count table within
         `_SWEEP_BLOCK` elements, unless one column's table alone is larger.
         """
-        n_feat, n_y = self._cols.shape[0], self._t_card
+        n_feat, n_y = ids.shape[0], self._t_card
         h_wc = np.empty(n_feat)
         h_wcy = np.empty(n_feat)
         k_max = int(self._cards.max())
@@ -278,9 +291,10 @@ class PairCache:
         buf = np.empty((width, self._n), dtype=np.intp)  # every chunk's keys
         for lo in range(0, n_feat, width):
             hi = min(lo + width, n_feat)
-            k = int(self._cards[lo:hi].max())
+            chunk = ids[lo:hi]
+            k = int(self._cards[chunk].max())
             cells = k_w * n_y * k
-            key = np.add(self._cols[lo:hi], wy * k, out=buf[: hi - lo])
+            key = np.add(self._cols[chunk], wy * k, out=buf[: hi - lo])
             key += np.arange(hi - lo)[:, None] * cells
             counts = np.bincount(key.ravel(), minlength=(hi - lo) * cells)
             counts = counts.reshape(hi - lo, k_w, n_y, k)
@@ -290,17 +304,31 @@ class PairCache:
 
     def winner_stats(self, w: int) -> tuple[np.ndarray, np.ndarray]:
         """(I(f_w;f_c), I(f_w;f_c|Y)) for every feature c, as two arrays,
-        from one counting sweep with f_w as the winner."""
+        from one counting sweep with f_w as the winner; NaN where c is
+        retired."""
         hit = self._winner.get(w)
         if hit is not None:
             self.memo_hits += 1
             return hit
+        mi = np.full(self._cols.shape[0], np.nan)
+        cmi = np.full(self._cols.shape[0], np.nan)
+        # The (f_w,Y,f_c) and (f_c,Y,f_w) tables hold the same counts and
+        # _entropies reads only the count multiset, so an earlier winner's
+        # entry for w is the bits this sweep would give. A live w was live,
+        # so counted, in every earlier sweep.
+        todo = self._live.copy()
+        for c, (mi_c, cmi_c) in self._winner.items():
+            if todo[c] and self._live[w]:
+                mi[c], cmi[c] = mi_c[w], cmi_c[w]
+                todo[c] = False
+        ids = np.flatnonzero(todo)
         # cast first: narrow codes times n_y would wrap in their own dtype
         wy = self._cols[w].astype(np.intp) * self._t_card + self._target
-        h_wc, h_wcy = self._sweep(wy, int(self._cards[w]))
-        h_f, h_fy = self._h_feat, self._h_feat_t
-        mi = np.maximum(0.0, h_f[w] + h_f - h_wc)
-        cmi = np.maximum(0.0, h_fy[w] + h_fy - h_wcy - self._h_target)
+        h_wc, h_wcy = self._sweep(wy, int(self._cards[w]), ids)
+        h_f, h_fy = self._h_feat[ids], self._h_feat_t[ids]
+        mi[ids] = np.maximum(0.0, self._h_feat[w] + h_f - h_wc)
+        cmi[ids] = np.maximum(0.0, self._h_feat_t[w] + h_fy - h_wcy - self._h_target)
+        self._counted += ids.shape[0]
         self._winner[w] = (mi, cmi)
         return self._winner[w]
 
@@ -309,5 +337,5 @@ class PairCache:
         return len(self._winner)
 
     def __len__(self) -> int:
-        """Number of pair statistics computed."""
-        return self._cols.shape[0] * self.sweeps
+        """Number of pair statistics the sweeps counted."""
+        return self._counted

@@ -146,6 +146,7 @@ class ViewSet:
     n_features: int
     winner_sweeps: int = 0  # distinct PairCache.winner_stats computations
     winner_memo_hits: int = 0  # winner_stats calls that reused one
+    pairs_counted: int = 0  # pair statistics the sweeps counted
 
     @property
     def union_ids(self) -> list[int]:
@@ -189,8 +190,14 @@ def relevance_vector(
         ys = [target.astype(np.float64)]
     else:  # "max_ovr"
         ys = [(target == c).astype(np.float64) for c in range(n_classes)]
-    mean = features.mean(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = features.mean(axis=0)
     xc = features - mean
+    for j in np.flatnonzero(~np.isfinite(mean)):
+        # the column sum overflowed: centre the column scaled to |x| <= 1,
+        # which leaves |r| as it is
+        col = features[:, j] / np.abs(features[:, j]).max()
+        xc[:, j] = col - col.mean()
     ycs = [y - y.mean() for y in ys]
     dots = [xc.T @ yc for yc in ycs]
     with np.errstate(over="ignore"):
@@ -380,6 +387,7 @@ def partition(d: Dataset, config: SpfpConfig, coded: CodedMatrix | None = None) 
             removed = []
         removed_log.append(removed)
         available[removed] = False
+        ctx.cache.retire(removed)
 
     return ViewSet(
         views=views,
@@ -390,6 +398,7 @@ def partition(d: Dataset, config: SpfpConfig, coded: CodedMatrix | None = None) 
         n_features=d.n_features,
         winner_sweeps=ctx.cache.sweeps,
         winner_memo_hits=ctx.cache.memo_hits,
+        pairs_counted=len(ctx.cache),
     )
 
 

@@ -242,6 +242,8 @@ class TestPartitionCommand:
         # takes 6 of the same features again, and its 5 calls reuse sweeps
         assert log["partition"]["winner_sweeps"] == 9
         assert log["partition"]["winner_memo_hits"] == 5
+        # sweep k of view 1 counts the 12 - k features no earlier sweep did
+        assert log["partition"]["pairs_counted"] == sum(range(4, 13))
 
     def test_views_structure_is_pinned(self, partitioned):
         # the integers of views.json, which hold on every platform
@@ -250,6 +252,35 @@ class TestPartitionCommand:
             [0, 4, 8, 1, 5, 9, 2, 6, 10, 3], [0, 4, 9, 2, 10, 3]]
         assert [v["termination"] for v in doc["views"]] == ["criteria_met"] * 2
         assert doc["removed"] == [[1, 5, 6, 8], [9, 10]]
+
+    def test_saturating_views_bytes_pinned(self, tmp_path):
+        # 600 x 40 continuous columns, 10 classes, columns 0-3 carrying the
+        # signal: every view saturates at H(F) = log2(402), and five views
+        # with removals reuse sweeps, read earlier winners' entries and
+        # retire features. SHA-256 of views.json and view_stats.json as
+        # format 7 writes them, the run's paths left out of the config.
+        rng = np.random.default_rng(18)
+        y = rng.integers(0, 10, size=600)
+        x = rng.normal(size=(600, 40))
+        for j in range(4):
+            x[:, j] += 1.5 * (y == 2 * j) - 1.5 * (y == 2 * j + 1)
+        lines = [",".join([f"f{j}" for j in range(40)] + ["y"])]
+        lines += [",".join(map(repr, row)) + f",c{label}" for row, label in zip(x.tolist(), y)]
+        csv_path = tmp_path / "wide.csv"
+        csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        argv = ["partition", "--input", str(csv_path), "--target", "y", "--views", "5",
+                "--out", str(tmp_path)]
+        assert main(argv) == 0
+        digest = hashlib.sha256()
+        for name in ("views.json", "view_stats.json"):
+            doc = read_json(tmp_path / name)
+            del doc["config"]["input"], doc["config"]["out"]
+            digest.update(json.dumps(doc, sort_keys=True).encode())
+        assert digest.hexdigest() == (
+            "4491d5b683a6b84a0cd06f790d7bc6d198c3daba5e3e08f444b142da9a991c2e")
+        log = read_json(tmp_path / "run_log.json")["partition"]
+        # 491 of the 16 x 40 pairs that full sweeps would count
+        assert (log["winner_sweeps"], log["winner_memo_hits"], log["pairs_counted"]) == (16, 7, 491)
 
     @pytest.mark.parametrize("target_first", [False, True])
     def test_byte_order_mark_is_skipped(self, workdir, target_first):

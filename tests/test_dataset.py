@@ -251,6 +251,31 @@ class TestOnePassParse:
             loop_peak, _ = peak(lambda: load_csv(path, "y"))
         assert fast_peak < 3_000_000 < loop_peak
 
+    @pytest.mark.parametrize("target", [0, 30, 60], ids=["first", "middle", "last"])
+    def test_clean_load_holds_one_contiguous_table(self, tmp_path, target):
+        # 2,000 x 60 features (960 kB): the parse peaks at 1.31 times the
+        # table, from np.loadtxt's growing buffer; any second table, such as
+        # a copy without the target column, would take it past 2.
+        rng = np.random.default_rng(target)
+        x = rng.normal(size=(2000, 60))
+        header = [f"f{j}" for j in range(60)]
+        header.insert(target, "y")
+        lines = [",".join(header)]
+        for i, row in enumerate(x.tolist()):
+            cells = list(map(repr, row))
+            cells.insert(target, f"c{i % 3}")
+            lines.append(",".join(cells))
+        path = write_csv(tmp_path / "clean.csv", lines)
+        tracemalloc.start()
+        try:
+            d = load_csv(path, "y")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert d.features.flags.c_contiguous
+        assert d.features.tobytes() == x.tobytes()
+        assert peak < 1.5 * x.nbytes
+
     @pytest.mark.parametrize("target", [0, 3, 6], ids=["first", "middle", "last"])
     def test_features_are_the_parsed_block_without_the_target(self, tmp_path, target):
         # 600 rows: the target column is dropped in blocks of 256 rows
@@ -268,6 +293,63 @@ class TestOnePassParse:
         parsed = np.insert(x, target, d.target, axis=1)  # as np.loadtxt reads the file
         assert np.array_equal(d.features, np.delete(parsed, target, axis=1))
         assert d.feature_names == tuple(f"f{j}" for j in range(6))
+
+
+def discretize_per_column(d, bins, strategy="equal_frequency"):
+    """The per-column reference of `discretize`: codes as intp, and the
+    cardinalities."""
+    codes = np.empty((d.n_rows, d.n_features), dtype=np.intp)
+    for j in range(d.n_features):
+        col = d.features[:, j]
+        if not np.isfinite(col).all():
+            row = int(np.argmin(np.isfinite(col)))
+            raise DataError(f"column '{d.feature_names[j]}' holds a non-finite value "
+                            f"at row index {row}")
+        uniques = np.unique(col)
+        if uniques.shape[0] <= bins and np.all(col == np.floor(col)):
+            codes[:, j] = np.searchsorted(uniques, col)
+            continue
+        if strategy == "equal_width":
+            lo, hi = col.min(), col.max()
+            if np.isfinite(float(hi) - float(lo)):
+                edges = np.linspace(lo, hi, bins + 1)[1:-1]
+            else:
+                edges = 2 * np.linspace(lo / 2, hi / 2, bins + 1)[1:-1]
+        else:
+            edges = np.quantile(col, np.arange(1, bins) / bins)
+        coded = np.searchsorted(np.unique(edges), col, side="left")
+        codes[:, j] = np.unique(coded, return_inverse=True)[1]
+    return codes, codes.max(axis=0) + 1
+
+
+@st.composite
+def mixed_columns(draw):
+    """A float table of the column kinds `discretize` tells apart."""
+    n = draw(st.integers(1, 40))
+    bins = draw(st.sampled_from([2, 3, 5, 10]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    kinds = draw(st.lists(st.sampled_from(
+        ["continuous", "few_ints", "spread_ints", "many_ints", "constant", "ties", "huge"]),
+        min_size=1, max_size=9))
+    columns = []
+    for kind in kinds:
+        if kind == "continuous":
+            col = rng.normal(size=n) * 10.0 ** rng.integers(-3, 4)
+        elif kind == "few_ints":  # at most `bins` values, spanning fewer
+            col = rng.integers(-3, -3 + bins, size=n).astype(float)
+        elif kind == "spread_ints":  # at most `bins` values, spread wide
+            col = rng.choice(rng.integers(-10**6, 10**6, size=bins), size=n).astype(float)
+        elif kind == "many_ints":
+            col = rng.integers(0, 4 * bins, size=n).astype(float)
+        elif kind == "constant":
+            col = np.full(n, draw(st.sampled_from([0.0, -2.0, 7.5, 1e300])))
+        elif kind == "ties":  # mostly one value: duplicate quantile edges
+            col = np.where(rng.random(n) < 0.8, 0.25, rng.normal(size=n))
+        else:  # a span past the float range
+            col = rng.choice([-1e308, -1.5e307, 0.0, 3.5, 1e308], size=n)
+        columns.append(col)
+    return np.column_stack(columns), bins
 
 
 class TestDiscretize:
@@ -352,6 +434,60 @@ class TestDiscretize:
         assert coded.codes.dtype == dtype
         assert coded.cardinalities.tolist() == [bins, 2]
         assert int(coded.codes[:, 0].max()) == bins - 1
+
+    @settings(max_examples=150, deadline=None)
+    @given(mixed_columns(), st.sampled_from(["equal_frequency", "equal_width"]),
+           st.sampled_from([1, 7, 1 << 16]))
+    def test_blocks_equal_the_per_column_reference(self, table, strategy, block):
+        x, bins = table
+        d = make_dataset(x, np.arange(x.shape[0]) % 2)
+        expected_codes, expected_cards = discretize_per_column(d, bins, strategy)
+        old, dataset._CODE_BLOCK = dataset._CODE_BLOCK, block  # blocks of 1 column and up
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                coded = discretize(d, bins=bins, strategy=strategy)
+        finally:
+            dataset._CODE_BLOCK = old
+        assert np.array_equal(coded.codes, expected_codes)
+        assert np.array_equal(coded.cardinalities, expected_cards)
+
+    @settings(max_examples=60, deadline=None)
+    @given(mixed_columns(), st.data())
+    def test_first_non_finite_column_and_row_are_named(self, table, data):
+        x, bins = table
+        n, p = x.shape
+        cells = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, p - 1)),
+                                   min_size=1, max_size=4))
+        for row, col in cells:
+            x[row, col] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        d = make_dataset(x, np.arange(n) % 2)
+        with pytest.raises(DataError) as expected:
+            discretize_per_column(d, bins)
+        old, dataset._CODE_BLOCK = dataset._CODE_BLOCK, 2 * n  # two columns a block
+        try:
+            with pytest.raises(DataError) as got:
+                discretize(d, bins=bins)
+        finally:
+            dataset._CODE_BLOCK = old
+        assert str(got.value) == str(expected.value)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 60), st.integers(2, 40), st.integers(0, 2**32 - 1),
+           st.sampled_from([1.0, 1e-300, 1e300, 1.7e308]))
+    def test_sorted_quantiles_are_numpy_quantiles_bit_for_bit(self, n, bins, seed, scale):
+        # the cut points are read off each sorted column with numpy's
+        # linear method; this pins them to np.quantile, spans past the
+        # float range (inf and NaN edges) included
+        rng = np.random.default_rng(seed)
+        s = np.sort(rng.uniform(-1.0, 1.0, size=(n, 5)) * scale, axis=0)
+        s[:, 1] = s[0, 1]  # constant
+        s[:, 2] = np.sort(rng.choice([-1.7e308, -1.0, 0.0, 2.0, 1.7e308], size=n))
+        qs = np.arange(1, bins) / bins
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = dataset._sorted_quantiles(s, qs)
+            expected = np.quantile(s, qs, axis=0)
+        assert got.view(np.int64).tolist() == expected.view(np.int64).tolist()
 
     def test_pair_cache_reads_the_codes_without_a_copy(self):
         rng = np.random.default_rng(12)

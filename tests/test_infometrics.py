@@ -441,9 +441,55 @@ class TestPairCache:
         cache, codes, _ = self._make(rng, n=64, d=8)
         first = cache.winner_stats(2)
         assert cache.winner_stats(2) is first
-        assert len(cache) == codes.shape[1]
+        assert (cache.sweeps, cache.memo_hits, len(cache)) == (1, 1, 8)
+        # 2 was swept already: its entry for 5 is read, not counted
         cache.winner_stats(5)
-        assert len(cache) == 2 * codes.shape[1]
+        assert (cache.sweeps, len(cache)) == (2, 15)
+        # retired features are neither counted nor reported
+        cache.retire([0, 7])
+        mi, cmi = cache.winner_stats(6)
+        assert (cache.sweeps, len(cache)) == (3, 19)
+        assert np.isnan(mi[[0, 7]]).all() and np.isnan(cmi[[0, 7]]).all()
+        assert not np.isnan(mi[1:7]).any() and not np.isnan(cmi[1:7]).any()
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(5, 90), st.integers(1, 10),
+           st.sampled_from([2, 4, 10]), st.data())
+    def test_retired_and_symmetric_fills_equal_full_sweeps(self, seed, n, d, bins, data):
+        # Retire features and sweep winners in any order: every live entry
+        # equals what a fresh cache counts, bit for bit, and only the live
+        # features no earlier sweep covered are counted.
+        rng = np.random.default_rng(seed)
+        codes = rng.integers(0, bins, size=(n, d))
+        codes[:, rng.random(d) < 0.2] = 0  # constant columns
+        codes = np.stack([np.unique(c, return_inverse=True)[1] for c in codes.T], axis=1)
+        target = np.unique(rng.integers(0, 3, size=n), return_inverse=True)[1]
+        cards = codes.max(axis=0) + 1
+        cache = PairCache(codes.astype(np.uint8), cards, target)
+        live = np.ones(d, dtype=bool)
+        swept: list[int] = []
+        counted = 0
+        steps = data.draw(st.lists(st.one_of(
+            st.tuples(st.just("retire"), st.lists(st.integers(0, d - 1), max_size=3)),
+            st.tuples(st.just("sweep"), st.integers(0, d - 1))), max_size=3 * d))
+        for op, arg in steps:
+            if op == "retire":
+                cache.retire(arg)
+                live[arg] = False
+                continue
+            mi, cmi = cache.winner_stats(arg)
+            if arg not in swept:
+                # a retired winner's entries were not counted by earlier sweeps
+                filled = sum(live[c] for c in swept) if live[arg] else 0
+                counted += int(live.sum()) - filled
+                swept.append(arg)
+                assert np.isnan(mi[~live]).all() and np.isnan(cmi[~live]).all()
+        assert (cache.sweeps, len(cache)) == (len(swept), counted)
+        for w in swept:
+            mi, cmi = cache.winner_stats(w)
+            fresh_mi, fresh_cmi = PairCache(codes, cards, target).winner_stats(w)
+            assert mi[live].tobytes() == fresh_mi[live].tobytes()
+            assert cmi[live].tobytes() == fresh_cmi[live].tobytes()
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):

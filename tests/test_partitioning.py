@@ -10,14 +10,18 @@ import math
 import tracemalloc
 import warnings
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from spfp.dataset import CodedMatrix, Dataset, discretize
 from spfp.errors import ConfigError, DataError
 from spfp.infometrics import (
+    PairCache,
     conditional_mutual_information,
     joint_entropy,
     mutual_information,
@@ -208,6 +212,41 @@ class TestBuildView:
 
 
 class TestPartition:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(30, 120), st.integers(4, 14),
+           st.integers(1, 4), st.sampled_from([0.2, 0.6, 1.0]))
+    def test_views_equal_full_sweeps_and_scores_stay_finite(self, seed, n, p, views, frac):
+        # retired features left out of the sweeps and earlier winners' entries
+        # read off their own sweeps: the same views and scores, bit for bit,
+        # as counting every pair afresh, and no NaN entry reaches a score
+        rng = np.random.default_rng(seed)
+        d = random_dataset(rng, n, p, n_classes=3)
+        config = SpfpConfig(n_views=views, min_features=2, remove_fraction=frac)
+        count = PairCache.winner_stats
+
+        def full_sweep(cache, w):
+            return count(PairCache(cache.columns.T, cache._cards, cache._target), w)
+
+        def run():
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # pools that run out
+                try:
+                    return partition(d, config)
+                except PoolDepletedError as exc:
+                    return exc.views, exc.removed_log
+
+        def summary(result):
+            if isinstance(result, ViewSet):
+                result = result.views, result.removed_log
+            views, removed = result
+            return [(v.feature_ids, v.scores) for v in views], removed
+
+        got = summary(run())
+        with mock.patch.object(PairCache, "winner_stats", full_sweep):
+            expected = summary(run())
+        assert got == expected
+        assert all(math.isfinite(s) for ids, scores in got[0] for s in scores)
+
     def test_no_removal_repeats_identical_views(self):
         rng = np.random.default_rng(5)
         d = random_dataset(rng, 50, 6)
@@ -376,8 +415,9 @@ class TestNarrowCodes:
     def test_peak_memory_at_the_wide_benchmark_shape(self):
         # 2,010 x 150, 10 classes: the codes in uint8, the table centred once
         # and squared in place, and key blocks of _SWEEP_BLOCK elements peak
-        # at 3.75 MiB; intp codes, their intp copy and whole-table keys took
-        # 8.0 MiB.
+        # at 2.7 MiB (3.75 MiB while discretize coded column by column, whose
+        # small arrays numpy's allocation cache kept); intp codes, their intp
+        # copy and whole-table keys took 8.0 MiB.
         rng = np.random.default_rng(0)
         d = make_dataset(rng.normal(size=(2010, 150)), rng.integers(0, 10, size=2010))
         tracemalloc.start()
@@ -401,6 +441,21 @@ class TestRelevance:
         assert_allclose(r[0], pearson_abs(x, y), rtol=0, atol=1e-12)
         assert_allclose(r[1], r[0], rtol=0, atol=1e-12)
         assert r[0] > 0.5
+
+    @pytest.mark.parametrize("mode", ["codes", "max_ovr"])
+    @pytest.mark.parametrize("scale", [1e306, -1e306, 1e307])
+    def test_overflowing_mean_keeps_the_correlation(self, mode, scale):
+        # the column sum overflows: the mean used to be inf and r NaN, which
+        # np.argmax in build_view then picked
+        rng = np.random.default_rng(47)
+        y = rng.integers(0, 3, size=200)
+        x = y + rng.normal(size=200)
+        features = np.column_stack([x * scale, x])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = relevance_vector(features, y, 3, mode)
+        assert_allclose(r[0], r[1], rtol=0, atol=1e-12)
+        assert r[1] > 0.5
 
 
 class TestNonFiniteFeature:
