@@ -217,7 +217,6 @@ def _read_cache(cache: Path, rc: RunConfig, *names: str) -> tuple[dict, dict] | 
             "features": (np.float64, (n, width)), "target": (np.intp, (n,)),
             # discretize's code dtype; codes saved in another one read as a miss
             "codes": (np.min_scalar_type(rc.bins - 1), (n_train, width)),
-            "cardinalities": (np.intp, (width,)),
             "train_target": (np.intp, (n_train,)),
         }
         arrays = {}
@@ -331,7 +330,7 @@ def cmd_partition(args) -> int:
     coded = discretize(train, rc.bins, rc.discretizer)
     _save_cache(
         cache,
-        {"codes": coded.codes, "cardinalities": coded.cardinalities, "train_target": train.target},
+        {"codes": coded.codes, "train_target": train.target},
         {"key": key, "n_rows": train.n_rows + n_test_rows, "n_train_rows": train.n_rows,
          "feature_names": list(train.feature_names), "class_names": list(train.class_names),
          "load_counters": load_counters},
@@ -383,7 +382,7 @@ def cmd_partition(args) -> int:
             f"  view {g}: {len(v)} features, H(S)={v.h_s:.6f}, "
             f"H(S,Y)={v.h_sy:.6f}, {v.termination}"
         )
-    print(f"union {vs.union_size}, intersection {vs.intersection_size}")
+    print(f"union {len(vs.union_ids)}, intersection {len(vs.intersection_ids)}")
     print(f"wrote {out / 'views.json'} and {out / 'view_stats.json'}")
     return EXIT_OK
 
@@ -592,7 +591,7 @@ def cmd_evaluate(args) -> int:
 def cmd_diagnose(args) -> int:
     doc, rc, cache = _read_views_doc(args)
     started = time.time(), time.perf_counter()
-    hit = _read_cache(cache, rc, "codes", "cardinalities", "train_target")
+    hit = _read_cache(cache, rc, "codes", "train_target")
     if hit is None:
         train, _, load_log = _load_train(rc)
         load_log["parse_cache"] = "miss"
@@ -604,7 +603,7 @@ def cmd_diagnose(args) -> int:
         meta, arrays = hit
         load_log = {**meta["load_counters"], "parse_cache": "hit"}
         view_ids = _view_ids(doc, meta["feature_names"])
-        coded = CodedMatrix(arrays["codes"], arrays["cardinalities"])
+        coded = CodedMatrix(arrays["codes"])
         target = arrays["train_target"]
     report = conditional_independence_report(
         view_ids, coded, target, tolerance=rc.entropy_tolerance

@@ -63,18 +63,22 @@ class Dataset:
 
 @dataclass
 class CodedMatrix:
-    """Per-column small-integer codes with their cardinalities.
+    """Per-column small-integer codes.
 
-    Codes are dense: every value 0..card-1 occurs in column j, which has
-    ``cardinalities[j]`` of them. `discretize` stores them column-major, so
-    ``codes.T``, the feature-major layout the counting kernels read, is not
-    a copy. The codes are in the narrowest unsigned dtype that holds
-    ``bins - 1`` (uint8 up to 256 bins); arithmetic wraps in that dtype, so
-    a caller casts them to ``np.intp`` before building a key from them.
+    Codes are dense: every value 0..card-1 occurs in a column of card
+    values, so `cardinalities` is each column's largest code plus one.
+    `discretize` stores them column-major, so ``codes.T``, the
+    feature-major layout the counting kernels read, is not a copy. The
+    codes are in the narrowest unsigned dtype that holds ``bins - 1``
+    (uint8 up to 256 bins); arithmetic wraps in that dtype, so a caller
+    casts them to ``np.intp`` before building a key from them.
     """
 
     codes: np.ndarray
-    cardinalities: np.ndarray
+
+    @property
+    def cardinalities(self) -> np.ndarray:
+        return self.codes.max(axis=0).astype(np.intp) + 1
 
     @property
     def n_rows(self) -> int:
@@ -259,6 +263,9 @@ def load_csv(path, target_column, missing_policy: str = "error") -> Dataset:
         except StopIteration:
             raise DataError(f"{path}: empty file") from None
         header = [h.strip() for h in header]
+        if len(set(header)) < len(header):
+            name = next(h for i, h in enumerate(header) if h in header[:i])
+            raise DataError(f"{path}: column name {name!r} appears more than once")
         if isinstance(target_column, int):
             if not 0 <= target_column < len(header):
                 raise DataError(f"target column index {target_column} out of range")
@@ -278,6 +285,8 @@ def load_csv(path, target_column, missing_policy: str = "error") -> Dataset:
                 reader, header, feature_names, target_idx, missing_policy, path
             )
     features, target, class_names, n_rejected, n_imputed = loaded
+    if not feature_names:
+        raise DataError(f"{path}: no feature column beside the target {header[target_idx]!r}")
     if len(class_names) < 2:
         raise DataError(f"fewer than 2 classes in target column (found {len(class_names)})")
 
@@ -388,7 +397,6 @@ def discretize(d: Dataset, bins: int = 10, strategy: str = "equal_frequency") ->
     n_rows, n_cols = d.features.shape
     dtype = np.min_scalar_type(bins - 1)
     codes = np.empty((n_rows, n_cols), dtype=dtype, order="F")
-    cards = np.empty(n_cols, dtype=np.intp)
     width = max(1, _CODE_BLOCK // max(1, n_rows))
     for lo in range(0, n_cols, width):
         x = np.asarray(d.features[:, lo:lo + width], dtype=np.float64)
@@ -402,10 +410,9 @@ def discretize(d: Dataset, bins: int = 10, strategy: str = "equal_frequency") ->
         key = _raw_codes(x, bins, strategy, dtype).astype(np.intp)
         key += np.arange(x.shape[1]) * bins
         occupied = np.bincount(key.ravel(), minlength=x.shape[1] * bins).reshape(-1, bins) > 0
-        cards[lo:lo + width] = occupied.sum(axis=1)
         remap = (np.cumsum(occupied, axis=1) - 1).astype(dtype)
         codes[:, lo:lo + width] = remap.ravel()[key]
-    return CodedMatrix(codes=codes, cardinalities=cards)
+    return CodedMatrix(codes)
 
 
 def _stratified_test_counts(class_sizes: np.ndarray, test_fraction: float) -> np.ndarray:

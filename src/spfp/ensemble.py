@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import warnings
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -63,13 +63,7 @@ class MetricReport:
     mew: float | None
 
     def to_dict(self) -> dict:
-        return {
-            "f1_micro": self.f1_micro,
-            "auc": self.auc,
-            "log_loss": self.log_loss,
-            "mec": self.mec,
-            "mew": self.mew,
-        }
+        return asdict(self)
 
 
 def _row_sum(e: np.ndarray) -> np.ndarray:
@@ -197,8 +191,13 @@ def train_builtin(
     if y.min() < 0 or y.max() >= n_cls:
         raise DataError(f"class codes outside the {n_cls} model columns")
 
-    mean = X.mean(axis=0)
-    scale = X.std(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = X.mean(axis=0)
+        scale = X.std(axis=0)
+    finite = np.isfinite(mean) & np.isfinite(scale)
+    if not finite.all():
+        raise DataError(f"column {int(np.argmin(finite))} of X: its mean or standard "
+                        "deviation overflows the float range")
     scale[scale == 0.0] = 1.0
     xb = _design(X, mean, scale)
 

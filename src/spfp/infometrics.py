@@ -49,13 +49,6 @@ def _as_codes(column, name: str = "column") -> np.ndarray:
     return codes
 
 
-def _check_same_length(*columns: np.ndarray) -> int:
-    lengths = {c.shape[0] for c in columns}
-    if len(lengths) != 1:
-        raise ValueError(f"length mismatch: {sorted(lengths)}")
-    return columns[0].shape[0]
-
-
 def _entropies(counts: np.ndarray) -> np.ndarray:
     """Plug-in entropy in bits of every row of a 2-D count table.
 
@@ -95,19 +88,18 @@ class RowPartition:
     """
 
     group_id: np.ndarray
-    n_groups: int
     group_sizes: np.ndarray
+
+    @property
+    def n_groups(self) -> int:
+        return self.group_sizes.shape[0]
 
     @classmethod
     def trivial(cls, n_rows: int) -> "RowPartition":
         """Single-group partition: the joint state of an empty column set."""
         if n_rows <= 0:
             raise ValueError("n_rows must be positive")
-        return cls(
-            group_id=np.zeros(n_rows, dtype=np.intp),
-            n_groups=1,
-            group_sizes=np.array([n_rows], dtype=np.intp),
-        )
+        return cls(np.zeros(n_rows, dtype=np.intp), np.array([n_rows], dtype=np.intp))
 
     @classmethod
     def from_columns(cls, columns) -> "RowPartition":
@@ -139,18 +131,12 @@ class RowPartition:
         # (min of 9 runs), which pays for casting its uint8 codes.
         if self.n_groups * card > max(n_rows, 1 << 16):
             _, group_id, sizes = np.unique(key, return_inverse=True, return_counts=True)
-            return RowPartition(
-                group_id=group_id, n_groups=int(sizes.shape[0]), group_sizes=sizes
-            )
+            return RowPartition(group_id, sizes)
         counts = np.bincount(key, minlength=self.n_groups * card)
         occupied = np.flatnonzero(counts)
         remap = np.empty(self.n_groups * card, dtype=np.intp)
         remap[occupied] = np.arange(occupied.shape[0])
-        return RowPartition(
-            group_id=remap[key],
-            n_groups=int(occupied.shape[0]),
-            group_sizes=counts[occupied].astype(np.intp),
-        )
+        return RowPartition(remap[key], counts[occupied].astype(np.intp))
 
     def entropy(self) -> float:
         return float(_entropies(self.group_sizes[None])[0])
@@ -164,24 +150,18 @@ def entropy(column) -> float:
 
 def joint_entropy(columns) -> float:
     """Entropy of the row tuples over one or more coded columns, in bits."""
-    cols = [_as_codes(c) for c in columns]
-    if not cols:
-        raise ValueError("at least one column required")
-    _check_same_length(*cols)
-    return RowPartition.from_columns(cols).entropy()
+    return RowPartition.from_columns(columns).entropy()
 
 
 def conditional_entropy(x, given) -> float:
     """H(X|Y) = H(X,Y) - H(Y), in bits."""
     xc, yc = _as_codes(x, "x"), _as_codes(given, "given")
-    _check_same_length(xc, yc)
     return joint_entropy([xc, yc]) - entropy(yc)
 
 
 def mutual_information(x, y) -> float:
     """I(X;Y) = H(X) + H(Y) - H(X,Y), in bits; small negatives clamped to 0."""
     xc, yc = _as_codes(x, "x"), _as_codes(y, "y")
-    _check_same_length(xc, yc)
     value = entropy(xc) + entropy(yc) - joint_entropy([xc, yc])
     return max(0.0, value)
 
@@ -191,7 +171,6 @@ def conditional_mutual_information(x, y, given) -> float:
     xc = _as_codes(x, "x")
     yc = _as_codes(y, "y")
     zc = _as_codes(given, "given")
-    _check_same_length(xc, yc, zc)
     value = (
         joint_entropy([xc, zc])
         + joint_entropy([yc, zc])
@@ -208,7 +187,6 @@ def interaction_gain(x, y, target) -> float:
     xc = _as_codes(x, "x")
     yc = _as_codes(y, "y")
     tc = _as_codes(target, "target")
-    _check_same_length(xc, yc, tc)
     return mutual_information(xc, yc) - conditional_mutual_information(xc, yc, tc)
 
 
@@ -242,15 +220,15 @@ class PairCache:
     one, and ``len()`` the pair statistics the sweeps counted.
     """
 
-    def __init__(self, codes: np.ndarray, cardinalities, target) -> None:
+    def __init__(self, codes: np.ndarray, target) -> None:
         # One contiguous row per feature, in the codes' own dtype: a sweep's
         # keys then fill each column's count block in turn instead of
         # scattering over all of them.
         self._cols = np.ascontiguousarray(np.asarray(codes).T)
-        self._cards = np.asarray(cardinalities, dtype=np.intp)
         self._target = _as_codes(target, "target")
         if self._cols.shape[1] != self._target.shape[0]:
             raise ValueError("length mismatch between codes and target")
+        self._cards = self._cols.max(axis=1).astype(np.intp) + 1
         self._n = self._cols.shape[1]
         self._t_card = int(self._target.max()) + 1
         self._h_target = entropy(self._target)

@@ -164,14 +164,6 @@ class ViewSet:
             out &= set(v.feature_ids)
         return sorted(out)
 
-    @property
-    def union_size(self) -> int:
-        return len(self.union_ids)
-
-    @property
-    def intersection_size(self) -> int:
-        return len(self.intersection_ids)
-
 
 class PoolDepletedError(DataError):
     """Master feature space ran out before the requested number of views."""
@@ -244,7 +236,6 @@ def criteria_met(
 class _Context:
     """Shared read-only state for building all views of one run."""
 
-    n_rows: int
     target: np.ndarray
     cache: PairCache
     relevance: np.ndarray
@@ -256,7 +247,7 @@ class _Context:
 
 def _build_context(d: Dataset, coded: CodedMatrix, config: SpfpConfig) -> _Context:
     """The run's shared state; the codes are kept only inside the PairCache."""
-    cache = PairCache(coded.codes, coded.cardinalities, d.target)
+    cache = PairCache(coded.codes, d.target)
     relevance = relevance_vector(
         d.features, d.target, d.n_classes, config.relevance_correlation
     )
@@ -264,7 +255,6 @@ def _build_context(d: Dataset, coded: CodedMatrix, config: SpfpConfig) -> _Conte
     h_f = full.entropy()
     h_fy = full.refine(d.target).entropy()
     return _Context(
-        n_rows=coded.n_rows,
         target=d.target,
         cache=cache,
         relevance=relevance,
@@ -288,7 +278,7 @@ def build_view(pool, ctx: _Context) -> View:
     if pool_arr.size == 0:
         raise ConfigError("pool is empty")
 
-    part_s = RowPartition.trivial(ctx.n_rows)
+    part_s = RowPartition.trivial(len(ctx.target))
     part_sy = part_s.refine(ctx.target)
     h_s, h_sy = 0.0, part_sy.entropy()
 
@@ -413,12 +403,13 @@ def view_stats(vs: ViewSet) -> dict:
     sets = [set(v.feature_ids) for v in vs.views]
     k = len(sets)
     overlap = [[len(sets[a] & sets[b]) for b in range(k)] for a in range(k)]
+    union_size = len(vs.union_ids)
     return {
         "view_sizes": [len(v) for v in vs.views],
-        "union_size": vs.union_size,
-        "intersection_size": vs.intersection_size,
+        "union_size": union_size,
+        "intersection_size": len(vs.intersection_ids),
         "view_ratios": [len(v) / vs.n_features for v in vs.views],
-        "union_ratio": vs.union_size / vs.n_features,
+        "union_ratio": union_size / vs.n_features,
         "overlap": overlap,
         "terminations": [v.termination for v in vs.views],
     }

@@ -353,6 +353,21 @@ class TestPartitionCommand:
         assert "non-finite cell at row 5, column 'f0'" in capsys.readouterr().err
         assert not (tmp_path / "views.json").exists()
 
+    @pytest.mark.parametrize("header,message", [
+        ("y", "no feature column beside the target 'y'"),
+        ("f0,f1,f0,y", "column name 'f0' appears more than once"),
+    ])
+    def test_header_without_distinct_features_exits_3(self, tmp_path, capsys, header, message):
+        csv_path = tmp_path / "h.csv"
+        width = header.count(",")
+        rows = [",".join(["1"] * width + [label]) for label in ("u", "v") * 4]
+        csv_path.write_text("\n".join([header] + rows) + "\n", encoding="utf-8")
+        assert main(partition_argv(csv_path, tmp_path)) == 3
+        err = capsys.readouterr().err
+        assert message in err
+        assert "internal error" not in err
+        assert not (tmp_path / "views.json").exists()
+
     def test_undecodable_input_exits_3(self, workdir, capsys):
         tmp_path, csv_path = workdir
         header, body = csv_path.read_bytes().split(b"\n", 1)
@@ -562,6 +577,25 @@ class TestEvaluateCommand:
         assert set(training) == {"theta_1", "theta_2", "All"}
         assert all(t["converged"] is True for t in training.values())
         assert "stopped at max_iters" not in capsys.readouterr().err
+
+    def test_overflowing_column_exits_3(self, tmp_path, capsys):
+        # f2's cells are finite, but its mean or standard deviation is not
+        rng = np.random.default_rng(2)
+        x = rng.normal(size=(300, 6))
+        x[:, 2] = rng.choice([1e308, -1e308, 5e307], size=300)
+        labels = np.digitize(x[:, 0], [-0.5, 0.5])
+        lines = [",".join([f"f{j}" for j in range(6)] + ["y"])]
+        lines += [",".join([repr(float(v)) for v in row] + [f"c{c}"])
+                  for row, c in zip(x, labels)]
+        csv_path = tmp_path / "big.csv"
+        csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(partition_argv(csv_path, tmp_path)) == 0
+        capsys.readouterr()
+        assert main(["evaluate", "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert "its mean or standard deviation overflows the float range" in err
+        assert "warning" not in err and "internal error" not in err
+        assert not (tmp_path / "metrics.json").exists()
 
     def test_max_iters_stop_is_flagged(self, partitioned, capsys):
         tmp_path, _ = partitioned
@@ -1171,7 +1205,7 @@ class TestParseCache:
         assert self.outcomes(logs) == self.ALL_MISS
 
     READERS = {"features": "evaluate", "target": "evaluate", "codes": "diagnose",
-               "cardinalities": "diagnose", "train_target": "diagnose"}
+               "train_target": "diagnose"}
 
     @pytest.mark.parametrize("name", sorted(READERS))
     @pytest.mark.parametrize("edit", [
@@ -1202,6 +1236,18 @@ class TestParseCache:
         assert main(["diagnose", "--out", str(tmp_path)]) == 0
         assert read_json(tmp_path / "run_log.json")["diagnose"]["parse_cache"] == "miss"
         assert (tmp_path / "independence.json").read_bytes() == narrow
+
+    def test_older_cache_with_cardinalities_is_a_hit(self, partitioned):
+        # earlier caches also held each column's cardinality, which the
+        # codes hold: the file is left alone and never read
+        tmp_path, _ = partitioned
+        cache = tmp_path / CACHE_DIR
+        cards = np.load(cache / "codes.npy").max(axis=0).astype(np.intp) + 1
+        np.save(cache / "cardinalities.npy", cards)
+        hit, logs = self.stages(tmp_path)
+        assert self.outcomes(logs) == self.ALL_HIT
+        shutil.rmtree(cache)
+        assert self.stages(tmp_path)[0] == hit
 
     @pytest.mark.parametrize("content", ["{not json", "[]", '{"key": null}', ""])
     def test_damaged_key_file_is_a_miss(self, partitioned, content):

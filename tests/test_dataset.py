@@ -83,6 +83,17 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="not found"):
             load_csv(path, "z")
 
+    def test_no_feature_column_rejected(self, tmp_path):
+        path = write_csv(tmp_path / "y.csv", ["y", "u", "v"])
+        with pytest.raises(DataError, match="no feature column beside the target 'y'"):
+            load_csv(path, "y")
+
+    @pytest.mark.parametrize("target", ["a", "label", 3])
+    def test_duplicate_column_name_rejected(self, tmp_path, target):
+        path = write_csv(tmp_path / "dup.csv", ["a,b,a,label", "1,2,3,u", "4,5,6,v"])
+        with pytest.raises(DataError, match="column name 'a' appears more than once"):
+            load_csv(path, target)
+
     def test_field_count_mismatch(self, tmp_path):
         path = write_csv(tmp_path / "ragged.csv", ["a,b,y", "1,2,u", "1,v"])
         with pytest.raises(DataError, match="row 2"):
@@ -494,7 +505,7 @@ class TestDiscretize:
         d = make_dataset(rng.normal(size=(50, 4)), rng.integers(0, 2, size=50))
         coded = discretize(d, bins=3)
         assert coded.codes.flags.f_contiguous
-        cache = PairCache(coded.codes, coded.cardinalities, d.target)
+        cache = PairCache(coded.codes, d.target)
         assert np.shares_memory(cache.columns, coded.codes)
 
     def test_bad_args(self):

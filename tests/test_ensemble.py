@@ -368,6 +368,14 @@ class TestTrainBuiltin:
         with pytest.raises(DataError, match="single class"):
             train_builtin(X, np.zeros(10, dtype=np.intp))
 
+    @pytest.mark.parametrize("values", [(1e308, 1e308), (1e308, -1e308), (1e308, 5e307)])
+    def test_overflowing_column_is_named(self, values):
+        # (1e308, -1e308) overflows only the standard deviation, the others the mean
+        X, y = separable_toy(seed=4)
+        X = np.column_stack([X, np.resize(values, 60)])
+        with pytest.raises(DataError, match="column 2 of X: its mean or standard deviation"):
+            train_builtin(X, y)
+
     def test_misaligned_inputs(self):
         with pytest.raises(DataError):
             train_builtin(np.zeros((4, 2)), np.array([0, 1]))

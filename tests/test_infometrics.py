@@ -372,24 +372,28 @@ class TestFrequencyTable:
 
 
 class TestPairCache:
-    def _make(self, rng, n=48, d=6):
-        codes = rng.integers(0, 4, size=(n, d))
+    def _make(self, rng, n=48, spans=(4,) * 6):
+        codes = rng.integers(0, spans, size=(n, len(spans)))
         target = rng.integers(0, 3, size=n)
-        cards = codes.max(axis=0) + 1
-        return PairCache(codes, cards, target), codes, target
+        return PairCache(codes, target), codes, target
 
     def test_matches_public_functions(self):
         rng = np.random.default_rng(99)
-        cache, codes, target = self._make(rng)
-        for i in range(codes.shape[1]):
-            mi, cmi = cache.winner_stats(i)
-            for j in range(codes.shape[1]):
-                assert_allclose(mi[j], mutual_information(codes[:, i], codes[:, j]), atol=1e-12)
-                assert_allclose(
-                    cmi[j],
-                    conditional_mutual_information(codes[:, i], codes[:, j], target),
-                    atol=1e-12,
-                )
+        # columns spanning 2, 5 and 2 codes: the layout a cardinality given
+        # apart from the codes (say 2, 4, 2) would miscount
+        for cache, codes, target in [self._make(rng), self._make(rng, 300, (2, 5, 2))]:
+            for i in range(codes.shape[1]):
+                assert_allclose(cache.mi_y[i], mutual_information(codes[:, i], target),
+                                atol=1e-12)
+                mi, cmi = cache.winner_stats(i)
+                for j in range(codes.shape[1]):
+                    assert_allclose(mi[j], mutual_information(codes[:, i], codes[:, j]),
+                                    atol=1e-12)
+                    assert_allclose(
+                        cmi[j],
+                        conditional_mutual_information(codes[:, i], codes[:, j], target),
+                        atol=1e-12,
+                    )
 
     @pytest.mark.parametrize("bins,n_classes", [(4, 3), (10, 10), (64, 20)])
     def test_winner_stats_equal_pair_stats(self, bins, n_classes):
@@ -404,7 +408,7 @@ class TestPairCache:
         codes[:, 5] = rng.integers(0, 2, size=n)
         codes = np.stack([np.unique(c, return_inverse=True)[1] for c in codes.T], axis=1)
         target = np.unique(rng.integers(0, n_classes, size=n), return_inverse=True)[1]
-        cache = PairCache(codes, codes.max(axis=0) + 1, target)
+        cache = PairCache(codes, target)
         for w in range(d):
             mi, cmi = cache.winner_stats(w)
             for c in range(d):
@@ -421,8 +425,8 @@ class TestPairCache:
         coded = discretize(Dataset(X, tuple(map(str, range(d))), target,
                                    tuple(map(str, range(20)))), bins=64)
         assert coded.codes.dtype == np.uint8
-        narrow = PairCache(coded.codes, coded.cardinalities, target)
-        wide = PairCache(coded.codes.astype(np.intp), coded.cardinalities, target)
+        narrow = PairCache(coded.codes, target)
+        wide = PairCache(coded.codes.astype(np.intp), target)
         assert narrow.columns.dtype == np.uint8
         assert np.array_equal(narrow.mi_y, wide.mi_y)
         for w in range(d):
@@ -438,7 +442,7 @@ class TestPairCache:
 
     def test_winner_stats_memoised_and_counted(self):
         rng = np.random.default_rng(3)
-        cache, codes, _ = self._make(rng, n=64, d=8)
+        cache, codes, _ = self._make(rng, n=64, spans=(4,) * 8)
         first = cache.winner_stats(2)
         assert cache.winner_stats(2) is first
         assert (cache.sweeps, cache.memo_hits, len(cache)) == (1, 1, 8)
@@ -464,8 +468,7 @@ class TestPairCache:
         codes[:, rng.random(d) < 0.2] = 0  # constant columns
         codes = np.stack([np.unique(c, return_inverse=True)[1] for c in codes.T], axis=1)
         target = np.unique(rng.integers(0, 3, size=n), return_inverse=True)[1]
-        cards = codes.max(axis=0) + 1
-        cache = PairCache(codes.astype(np.uint8), cards, target)
+        cache = PairCache(codes.astype(np.uint8), target)
         live = np.ones(d, dtype=bool)
         swept: list[int] = []
         counted = 0
@@ -487,10 +490,10 @@ class TestPairCache:
         assert (cache.sweeps, len(cache)) == (len(swept), counted)
         for w in swept:
             mi, cmi = cache.winner_stats(w)
-            fresh_mi, fresh_cmi = PairCache(codes, cards, target).winner_stats(w)
+            fresh_mi, fresh_cmi = PairCache(codes, target).winner_stats(w)
             assert mi[live].tobytes() == fresh_mi[live].tobytes()
             assert cmi[live].tobytes() == fresh_cmi[live].tobytes()
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            PairCache(np.zeros((4, 2), dtype=int), np.array([1, 1]), np.zeros(5, dtype=int))
+            PairCache(np.zeros((4, 2), dtype=int), np.zeros(5, dtype=int))

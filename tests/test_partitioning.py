@@ -225,7 +225,7 @@ class TestPartition:
         count = PairCache.winner_stats
 
         def full_sweep(cache, w):
-            return count(PairCache(cache.columns.T, cache._cards, cache._target), w)
+            return count(PairCache(cache.columns.T, cache._target), w)
 
         def run():
             with warnings.catch_warnings():
@@ -278,7 +278,7 @@ class TestPartition:
         for view, removed in zip(vs.views, vs.removed_log):
             assert removed == sorted(view.feature_ids)
         assert vs.views[0].termination == "criteria_met"
-        assert vs.intersection_size == 0
+        assert vs.intersection_ids == []
 
     def test_pool_depleted_error_carries_partial_result(self):
         rng = np.random.default_rng(8)
@@ -404,7 +404,7 @@ class TestNarrowCodes:
         cfg = SpfpConfig(n_views=3, min_features=3, bins=64)
         coded = discretize(d, cfg.bins)
         assert coded.codes.dtype == np.uint8
-        wide = CodedMatrix(coded.codes.astype(np.intp), coded.cardinalities)
+        wide = CodedMatrix(coded.codes.astype(np.intp))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # views may exhaust their pools
             got, expected = partition(d, cfg, coded), partition(d, cfg, wide)
