@@ -12,9 +12,7 @@ import importlib
 
 _EXPORTS = {
     "errors": ("SpfpError", "ConfigError", "DataError"),
-    "dataset": (
-        "Dataset", "CodedMatrix", "SplitSpec", "load_csv", "discretize", "split", "split_rows",
-    ),
+    "dataset": ("Dataset", "SplitSpec", "load_csv", "discretize", "split", "split_rows"),
     "infometrics": (
         "entropy",
         "joint_entropy",

@@ -25,20 +25,19 @@ import csv
 import hashlib
 import json
 import math
+import re
 import shutil
 import sys
 import time
 import warnings
 from dataclasses import asdict, dataclass, fields, replace
-from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .dataset import (
-    MISSING_POLICIES, CodedMatrix, Dataset, SplitSpec, _file_errors, discretize, load_csv, split,
-    split_rows,
+    MISSING_POLICIES, Dataset, SplitSpec, _file_errors, discretize, load_csv, split, split_rows,
 )
 from .errors import ConfigError, DataError, SpfpError
 from .partitioning import (
@@ -191,11 +190,11 @@ def _cache_key(rc: RunConfig) -> dict | None:
 
 def _save_cache(cache: Path, arrays: dict, meta: dict | None = None) -> None:
     """Save `arrays` as .npy files, then `meta` as key.json, which makes the
-    cache valid. key.json is removed first, so a cache in the middle of a
-    write reads as a miss; a cache that cannot be written is removed."""
+    cache valid. `partition` clears the directory before its first save, so
+    a cache in the middle of a write has no key.json and reads as a miss; a
+    cache that cannot be written is removed."""
     try:
         cache.mkdir(parents=True, exist_ok=True)
-        (cache / "key.json").unlink(missing_ok=True)
         for name, a in arrays.items():
             np.save(cache / f"{name}.npy", a, allow_pickle=False)
         if meta is not None:
@@ -326,16 +325,17 @@ def cmd_partition(args) -> int:
     started = time.time(), time.perf_counter()
     out = Path(rc.out)
     cache, key = out / CACHE_DIR, _cache_key(rc)
+    shutil.rmtree(cache, ignore_errors=True)  # then it holds what this run writes
     train, n_test_rows, load_counters = _load_train(rc, cache)
-    coded = discretize(train, rc.bins, rc.discretizer)
+    codes = discretize(train, rc.bins, rc.discretizer)
     _save_cache(
         cache,
-        {"codes": coded.codes, "train_target": train.target},
+        {"codes": codes, "train_target": train.target},
         {"key": key, "n_rows": train.n_rows + n_test_rows, "n_train_rows": train.n_rows,
          "feature_names": list(train.feature_names), "class_names": list(train.class_names),
          "load_counters": load_counters},
     )
-    vs = partition(train, rc, coded)
+    vs = partition(train, rc, codes)
 
     _artifact(out / "views.json", rc.to_dict(), {
         "seed": rc.seed,
@@ -515,12 +515,24 @@ def cmd_evaluate(args) -> int:
             train, SplitSpec(rc.holdout_fraction, rc.seed), stream=HOLDOUT_STREAM
         )
         del train  # training reads the inner split and the holdout
-        fit = partial(train_builtin, l2=rc.l2, max_iters=rc.max_iters, tol=rc.opt_tol,
-                      n_classes=n_classes)
+
+        def fit(name: str, x: np.ndarray, columns) -> ProbModel:
+            """Model `name` on `x`, the features `columns`; train_builtin's
+            overflow error names the model and the feature, not x's column."""
+            try:
+                return train_builtin(x, inner_train.target, l2=rc.l2, max_iters=rc.max_iters,
+                                     tol=rc.opt_tol, n_classes=n_classes)
+            except DataError as exc:
+                column = re.match(r"column (\d+) of X: ", str(exc))
+                if column is None:
+                    raise
+                feature = inner_train.feature_names[columns[int(column[1])]]
+                raise DataError(f"model {name}, feature {feature!r}: {exc}") from None
+
         for g, ids in enumerate(view_ids):
             name = _model_name(g)
             tm = time.perf_counter()
-            model = fit(inner_train.features[:, ids], inner_train.target)
+            model = fit(name, inner_train.features[:, ids], ids)
             auc_g = metrics(predict_proba(model, holdout.features[:, ids]), holdout.target).auc
             proba = predict_proba(model, test.features[:, ids])
             elapsed[name] = time.perf_counter() - tm
@@ -530,7 +542,7 @@ def cmd_evaluate(args) -> int:
             reports[name] = metrics(proba, test.target)
         del holdout  # `All` is scored on the test rows only
         tm = time.perf_counter()
-        all_model = fit(inner_train.features, inner_train.target)
+        all_model = fit("All", inner_train.features, range(inner_train.n_features))
         reports["All"] = metrics(predict_proba(all_model, test.features), test.target)
         elapsed["All"] = time.perf_counter() - tm
         trained["All"] = all_model
@@ -596,17 +608,16 @@ def cmd_diagnose(args) -> int:
         train, _, load_log = _load_train(rc)
         load_log["parse_cache"] = "miss"
         view_ids = _view_ids(doc, train.feature_names)
-        coded = discretize(train, rc.bins, rc.discretizer)
+        codes = discretize(train, rc.bins, rc.discretizer)
         target = train.target
         del train  # the report reads only the codes
     else:
         meta, arrays = hit
         load_log = {**meta["load_counters"], "parse_cache": "hit"}
         view_ids = _view_ids(doc, meta["feature_names"])
-        coded = CodedMatrix(arrays["codes"])
-        target = arrays["train_target"]
+        codes, target = arrays["codes"], arrays["train_target"]
     report = conditional_independence_report(
-        view_ids, coded, target, tolerance=rc.entropy_tolerance
+        view_ids, codes, target, tolerance=rc.entropy_tolerance
     )
     out = Path(rc.out)
     _artifact(out / "independence.json", rc.to_dict(), report)

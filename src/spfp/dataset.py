@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ConfigError, DataError
 from .seeding import SPLIT_STREAM, substream
 
-__all__ = ["Dataset", "CodedMatrix", "SplitSpec", "load_csv", "discretize", "split", "split_rows"]
+__all__ = ["Dataset", "SplitSpec", "load_csv", "discretize", "split", "split_rows"]
 
 _MISSING_TOKENS = {"", "na", "n/a", "nan", "null"}
 DISCRETIZERS = ("equal_frequency", "equal_width")
@@ -59,34 +59,6 @@ class Dataset:
             target=self.target[rows],
             class_names=self.class_names,
         )
-
-
-@dataclass
-class CodedMatrix:
-    """Per-column small-integer codes.
-
-    Codes are dense: every value 0..card-1 occurs in a column of card
-    values, so `cardinalities` is each column's largest code plus one.
-    `discretize` stores them column-major, so ``codes.T``, the
-    feature-major layout the counting kernels read, is not a copy. The
-    codes are in the narrowest unsigned dtype that holds ``bins - 1``
-    (uint8 up to 256 bins); arithmetic wraps in that dtype, so a caller
-    casts them to ``np.intp`` before building a key from them.
-    """
-
-    codes: np.ndarray
-
-    @property
-    def cardinalities(self) -> np.ndarray:
-        return self.codes.max(axis=0).astype(np.intp) + 1
-
-    @property
-    def n_rows(self) -> int:
-        return self.codes.shape[0]
-
-    @property
-    def n_columns(self) -> int:
-        return self.codes.shape[1]
 
 
 @dataclass
@@ -377,8 +349,8 @@ def _raw_codes(x: np.ndarray, bins: int, strategy: str, dtype) -> np.ndarray:
     return raw
 
 
-def discretize(d: Dataset, bins: int = 10, strategy: str = "equal_frequency") -> CodedMatrix:
-    """Discretize every feature column to dense small-integer codes.
+def discretize(d: Dataset, bins: int = 10, strategy: str = "equal_frequency") -> np.ndarray:
+    """The (rows, features) array of every feature column's small-integer codes.
 
     Integral columns with at most `bins` distinct values pass through as
     dense codes regardless of strategy. Remaining columns are cut at
@@ -387,7 +359,13 @@ def discretize(d: Dataset, bins: int = 10, strategy: str = "equal_frequency") ->
     `bins` and a constant column gets cardinality 1. Coding is
     order-preserving per column. A NaN or infinite cell raises DataError.
     The features are read as float64, in column blocks of `_CODE_BLOCK`
-    cells. The codes' dtype is ``np.min_scalar_type(bins - 1)``.
+    cells. The codes are dense: a column of card values holds every code
+    0..card-1, so its cardinality is its largest code plus one. The array
+    is column-major, so ``codes.T``, the feature-major layout the counting
+    kernels read, is not a copy. Its dtype is
+    ``np.min_scalar_type(bins - 1)`` (uint8 up to 256 bins); arithmetic
+    wraps in that dtype, so cast the codes to ``np.intp`` before building a
+    key from them.
     """
     if bins < 2:
         raise ConfigError(f"bins must be >= 2, got {bins}")
@@ -412,7 +390,7 @@ def discretize(d: Dataset, bins: int = 10, strategy: str = "equal_frequency") ->
         occupied = np.bincount(key.ravel(), minlength=x.shape[1] * bins).reshape(-1, bins) > 0
         remap = (np.cumsum(occupied, axis=1) - 1).astype(dtype)
         codes[:, lo:lo + width] = remap.ravel()[key]
-    return CodedMatrix(codes)
+    return codes
 
 
 def _stratified_test_counts(class_sizes: np.ndarray, test_fraction: float) -> np.ndarray:

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .dataset import DISCRETIZERS, CodedMatrix, Dataset, discretize
+from .dataset import DISCRETIZERS, Dataset, discretize
 from .errors import ConfigError, DataError
 from .infometrics import PairCache, RowPartition
 from .seeding import REMOVAL_STREAM, substream
@@ -245,9 +245,9 @@ class _Context:
     tol: float
 
 
-def _build_context(d: Dataset, coded: CodedMatrix, config: SpfpConfig) -> _Context:
+def _build_context(d: Dataset, codes: np.ndarray, config: SpfpConfig) -> _Context:
     """The run's shared state; the codes are kept only inside the PairCache."""
-    cache = PairCache(coded.codes, d.target)
+    cache = PairCache(codes, d.target)
     relevance = relevance_vector(
         d.features, d.target, d.n_classes, config.relevance_correlation
     )
@@ -260,7 +260,7 @@ def _build_context(d: Dataset, coded: CodedMatrix, config: SpfpConfig) -> _Conte
         relevance=relevance,
         h_f=h_f,
         h_fy=h_fy,
-        n_f=config.resolve_min_features(coded.n_columns),
+        n_f=config.resolve_min_features(codes.shape[1]),
         tol=config.entropy_tolerance,
     )
 
@@ -270,7 +270,10 @@ def build_view(pool, ctx: _Context) -> View:
     pool runs out.
 
     Ties in the argmax go to the lowest feature index; the pool is kept in
-    ascending index order so the first maximum is that feature.
+    ascending index order so the first maximum is that feature. The running
+    MI and CMI sums are indexed by feature id and read at the pool's ids
+    only: a step removes its winner from the pool alone, and the NaN
+    entries `winner_stats` gives retired features are never read.
     """
     if not isinstance(ctx, _Context):
         raise TypeError("build_view needs a context built by partition()")
@@ -282,8 +285,8 @@ def build_view(pool, ctx: _Context) -> View:
     part_sy = part_s.refine(ctx.target)
     h_s, h_sy = 0.0, part_sy.entropy()
 
-    sum_mi = np.zeros(pool_arr.shape[0])
-    sum_cmi = np.zeros(pool_arr.shape[0])
+    sum_mi = np.zeros_like(ctx.cache.mi_y)
+    sum_cmi = np.zeros_like(ctx.cache.mi_y)
     selected: list[int] = []
     scores: list[float] = []
     trace: list[StepRecord] = []
@@ -292,9 +295,10 @@ def build_view(pool, ctx: _Context) -> View:
     while pool_arr.size > 0 and not all(crit):
         score = ctx.relevance[pool_arr] + ctx.cache.mi_y[pool_arr]
         if selected:
-            score += (sum_cmi - sum_mi) / len(selected)
+            score += (sum_cmi - sum_mi)[pool_arr] / len(selected)
         best = int(np.argmax(score))  # first max = lowest index
         winner = int(pool_arr[best])
+        pool_arr = np.delete(pool_arr, best)
 
         selected.append(winner)
         scores.append(float(score[best]))
@@ -303,19 +307,13 @@ def build_view(pool, ctx: _Context) -> View:
         part_sy = part_sy.refine(col)
         h_s, h_sy = part_s.entropy(), part_sy.entropy()
 
-        keep = np.ones(pool_arr.shape[0], dtype=bool)
-        keep[best] = False
-        pool_arr = pool_arr[keep]
-        sum_mi = sum_mi[keep]
-        sum_cmi = sum_cmi[keep]
-
         crit = criteria_met(len(selected), h_s, h_sy, ctx.h_f, ctx.h_fy, ctx.n_f, ctx.tol)
-        trace.append(StepRecord(candidates=keep.shape[0], winner=winner, criteria=crit))
+        trace.append(StepRecord(candidates=score.shape[0], winner=winner, criteria=crit))
 
         if pool_arr.size > 0 and not all(crit):
             mi_new, cmi_new = ctx.cache.winner_stats(winner)
-            sum_mi += mi_new[pool_arr]
-            sum_cmi += cmi_new[pool_arr]
+            sum_mi += mi_new
+            sum_cmi += cmi_new
 
     termination = "criteria_met" if all(crit) else "pool_exhausted"
     return View(
@@ -328,18 +326,18 @@ def build_view(pool, ctx: _Context) -> View:
     )
 
 
-def partition(d: Dataset, config: SpfpConfig, coded: CodedMatrix | None = None) -> ViewSet:
+def partition(d: Dataset, config: SpfpConfig, codes: np.ndarray | None = None) -> ViewSet:
     """Run the full view-construction loop over a dataset.
 
     Views are built sequentially; after view g, round(remove_fraction *
     |view|) of its features (sampled without replacement from a per-view
     Philox substream of the master seed) leave the master feature space.
-    `coded`, when given, must be ``discretize(d, config.bins,
-    config.discretizer)``, computed by a caller that keeps the codes.
+    `codes`, when given, must be ``discretize(d, config.bins,
+    config.discretizer)``, computed by a caller that keeps them.
     """
-    if coded is None:
-        coded = discretize(d, config.bins, config.discretizer)
-    ctx = _build_context(d, coded, config)
+    if codes is None:
+        codes = discretize(d, config.bins, config.discretizer)
+    ctx = _build_context(d, codes, config)
     if ctx.n_f > d.n_features:
         raise ConfigError(
             f"resolved min_features {ctx.n_f} exceeds feature count {d.n_features}"
@@ -417,15 +415,16 @@ def view_stats(vs: ViewSet) -> dict:
 
 def conditional_independence_report(
     view_ids: list[list[int]],
-    coded: CodedMatrix,
+    codes: np.ndarray,
     target: np.ndarray,
     tolerance: float = 1e-9,
 ) -> dict:
     """Empirical check of the view-pair conditional-independence assumption.
 
-    `view_ids` holds each view's feature indices into `coded`. Computes
-    I(view_a; view_b | Y) for every pair via row partitions over each
-    view's joint state, together with H(F), H(Y), and whether H(F) <= H(Y),
+    `view_ids` holds each view's feature indices into the columns of
+    `codes`, the array `discretize` returns. Computes I(view_a; view_b | Y)
+    for every pair via row partitions over each view's joint state,
+    together with H(F), H(Y), and whether H(F) <= H(Y),
     the necessary condition for all pairwise conditional independences to
     hold at full information content.
     """
@@ -433,9 +432,9 @@ def conditional_independence_report(
         raise ConfigError("conditional independence needs at least two views")
     target = np.asarray(target, dtype=np.intp)
     group_cols = [
-        RowPartition.from_columns(coded.codes[:, ids].T).group_id for ids in view_ids
+        RowPartition.from_columns(codes[:, ids].T).group_id for ids in view_ids
     ]
-    part_y = RowPartition.trivial(coded.n_rows).refine(target)
+    part_y = RowPartition.trivial(codes.shape[0]).refine(target)
     h_y = part_y.entropy()
     parts_view_y = [part_y.refine(g) for g in group_cols]
     h_view_y = [p.entropy() for p in parts_view_y]
@@ -446,7 +445,7 @@ def conditional_independence_report(
             h_aby = parts_view_y[a].refine(group_cols[b]).entropy()
             value = max(0.0, h_view_y[a] + h_view_y[b] - h_aby - h_y)
             cmi[a, b] = cmi[b, a] = value
-    h_f = RowPartition.from_columns(coded.codes.T).entropy()
+    h_f = RowPartition.from_columns(codes.T).entropy()
     off_diag = cmi[~np.eye(k, dtype=bool)]
     return {
         "pairwise_cmi": cmi.tolist(),

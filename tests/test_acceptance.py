@@ -79,12 +79,12 @@ def composite(columns, n_rows: int) -> np.ndarray:
     return inverse.astype(np.intp)
 
 
-def oracle_greedy(coded, raw, target, n_f, tol=1e-9):
+def oracle_greedy(codes, raw, target, n_f, tol=1e-9):
     """Forward selection recomputing every objective term from scratch."""
-    cols = [coded.codes[:, j] for j in range(coded.n_columns)]
+    cols = [codes[:, j] for j in range(codes.shape[1])]
     h_f = joint_entropy(cols)
     h_fy = joint_entropy(cols + [target])
-    pool = list(range(coded.n_columns))
+    pool = list(range(codes.shape[1]))
     selected: list = []
     while pool:
         chosen = [cols[j] for j in selected]
@@ -193,8 +193,8 @@ class TestAcceptance:
             cfg = SpfpConfig(n_views=1, min_features=n_f,
                              remove_fraction=0.0, bins=4, seed=trial)
             vs = partition(d, cfg)
-            coded = discretize(d, bins=4)
-            expected = oracle_greedy(coded, d.features, d.target, n_f)
+            codes = discretize(d, bins=4)
+            expected = oracle_greedy(codes, d.features, d.target, n_f)
             assert list(vs.views[0].feature_ids) == expected, f"trial {trial}"
         print("pass: greedy selection equals step-by-step brute force on "
               "50 datasets")
@@ -211,8 +211,8 @@ class TestAcceptance:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 vs = partition(d, cfg)
-            coded = discretize(d, bins=4)
-            cols = [coded.codes[:, j] for j in range(coded.n_columns)]
+            codes = discretize(d, bins=4)
+            cols = [codes[:, j] for j in range(codes.shape[1])]
             h_f = counter_entropy(*cols)
             h_fy = counter_entropy(*(cols + [d.target]))
             tol = cfg.entropy_tolerance

@@ -24,6 +24,7 @@ from spfp.cli import (
     CACHE_DIR, FORMAT_VERSION, RunConfig, _write_json, build_parser, cmd_evaluate, main,
 )
 from spfp.dataset import SplitSpec, load_csv, split
+from spfp.partitioning import partition
 from spfp.ensemble import metrics
 from spfp.evalstats import friedman
 from spfp.errors import ConfigError, DataError
@@ -252,6 +253,25 @@ class TestPartitionCommand:
             [0, 4, 8, 1, 5, 9, 2, 6, 10, 3], [0, 4, 9, 2, 10, 3]]
         assert [v["termination"] for v in doc["views"]] == ["criteria_met"] * 2
         assert doc["removed"] == [[1, 5, 6, 8], [9, 10]]
+
+    def test_step_trace_is_pinned(self, workdir, monkeypatch):
+        # the trace bench/tracing.py counts greedy steps and scored
+        # candidates from, for the views pinned above
+        tmp_path, csv_path = workdir
+        runs = []
+
+        def record(*args):
+            runs.append(partition(*args))
+            return runs[-1]
+
+        monkeypatch.setattr(cli, "partition", record)
+        assert main(partition_argv(csv_path, tmp_path)) == 0
+        # view 2's pool is the 12 features less the 4 removed after view 1
+        for view, pool in zip(runs[0].views, [12, 8]):
+            trace = view.step_trace
+            assert [step.winner for step in trace] == view.feature_ids
+            assert [step.candidates for step in trace] == list(range(pool, pool - len(view), -1))
+            assert [all(step.criteria) for step in trace] == [False] * (len(view) - 1) + [True]
 
     def test_saturating_views_bytes_pinned(self, tmp_path):
         # 600 x 40 continuous columns, 10 classes, columns 0-3 carrying the
@@ -594,8 +614,18 @@ class TestEvaluateCommand:
         assert main(["evaluate", "--out", str(tmp_path)]) == 3
         err = capsys.readouterr().err
         assert "its mean or standard deviation overflows the float range" in err
+        # named by model and feature: f2 is the fourth column of view 2's X
+        assert "model theta_2, feature 'f2': column 3 of X" in err
         assert "warning" not in err and "internal error" not in err
         assert not (tmp_path / "metrics.json").exists()
+        # with f2 in no view, the all-features model names it
+        views_path = tmp_path / "views.json"
+        doc = read_json(views_path)
+        for view in doc["views"]:
+            view["features"]["indices"] = [j for j in view["features"]["indices"] if j != 2]
+        views_path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["evaluate", "--out", str(tmp_path)]) == 3
+        assert "model All, feature 'f2': column 2 of X" in capsys.readouterr().err
 
     def test_max_iters_stop_is_flagged(self, partitioned, capsys):
         tmp_path, _ = partitioned
@@ -1271,6 +1301,17 @@ class TestParseCache:
         assert main(["diagnose", "--out", str(tmp_path)]) == 0
         log = read_json(tmp_path / "run_log.json")
         assert log["evaluate"]["parse_cache"] == log["diagnose"]["parse_cache"] == "hit"
+
+    def test_partition_clears_the_cache(self, partitioned):
+        # files an earlier version or anything else left there are gone
+        tmp_path, csv_path = partitioned
+        cache = tmp_path / CACHE_DIR
+        codes = np.load(cache / "codes.npy")
+        np.save(cache / "cardinalities.npy", codes.max(axis=0).astype(np.intp) + 1)
+        np.save(cache / "stale.npy", codes)
+        assert main(partition_argv(csv_path, tmp_path)) == 0
+        assert sorted(p.name for p in cache.iterdir()) == [
+            "codes.npy", "features.npy", "key.json", "target.npy", "train_target.npy"]
 
     def test_unwritable_cache_is_no_error(self, workdir):
         tmp_path, csv_path = workdir

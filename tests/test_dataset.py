@@ -17,6 +17,12 @@ from spfp.errors import ConfigError, DataError
 from spfp.infometrics import PairCache
 
 
+def cardinalities(codes):
+    """Each column's cardinality: its largest dense code plus one, in intp
+    (uint8 codes would wrap at 256)."""
+    return codes.max(axis=0).astype(np.intp) + 1
+
+
 def write_csv(path, lines):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return str(path)
@@ -366,17 +372,17 @@ def mixed_columns(draw):
 class TestDiscretize:
     def test_equal_frequency_deciles(self):
         d = make_dataset(np.arange(1.0, 11.0).reshape(-1, 1), [0, 1] * 5)
-        coded = discretize(d, bins=5, strategy="equal_frequency")
-        assert coded.codes[:, 0].tolist() == [0, 0, 1, 1, 2, 2, 3, 3, 4, 4]
-        assert coded.cardinalities[0] == 5
+        codes = discretize(d, bins=5, strategy="equal_frequency")
+        assert codes[:, 0].tolist() == [0, 0, 1, 1, 2, 2, 3, 3, 4, 4]
+        assert cardinalities(codes)[0] == 5
 
     @pytest.mark.parametrize("strategy", ["equal_frequency", "equal_width"])
     @pytest.mark.parametrize("value", [7.0, 7.5])  # integral, then cut by the edges
     def test_constant_column(self, value, strategy):
         d = make_dataset([[value], [value], [value], [value]], [0, 1, 0, 1])
-        coded = discretize(d, bins=10, strategy=strategy)
-        assert coded.codes[:, 0].tolist() == [0, 0, 0, 0]
-        assert coded.cardinalities[0] == 1
+        codes = discretize(d, bins=10, strategy=strategy)
+        assert codes[:, 0].tolist() == [0, 0, 0, 0]
+        assert cardinalities(codes)[0] == 1
 
     @pytest.mark.parametrize("strategy", ["equal_frequency", "equal_width"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -389,24 +395,24 @@ class TestDiscretize:
 
     def test_integral_passthrough(self):
         d = make_dataset([[0.0], [1.0], [0.0], [2.0]], [0, 1, 0, 1])
-        coded = discretize(d, bins=10)
-        assert coded.codes[:, 0].tolist() == [0, 1, 0, 2]
-        assert coded.cardinalities[0] == 3
+        codes = discretize(d, bins=10)
+        assert codes[:, 0].tolist() == [0, 1, 0, 2]
+        assert cardinalities(codes)[0] == 3
         col = d.features[:, 0]
-        assert coded.codes[:, 0].tolist() == np.searchsorted(np.unique(col), col).tolist()
+        assert codes[:, 0].tolist() == np.searchsorted(np.unique(col), col).tolist()
 
     def test_wide_integral_column_is_binned(self):
         vals = np.arange(100.0).reshape(-1, 1)
         d = make_dataset(vals, [0, 1] * 50)
-        coded = discretize(d, bins=4)
-        assert coded.cardinalities[0] == 4
+        codes = discretize(d, bins=4)
+        assert cardinalities(codes)[0] == 4
 
     def test_equal_width(self):
         col = np.array([0.0, 1.0, 2.0, 3.0, 4.0, 10.0]).reshape(-1, 1)
         d = make_dataset(col, [0, 1, 0, 1, 0, 1])
-        coded = discretize(d, bins=2, strategy="equal_width")
+        codes = discretize(d, bins=2, strategy="equal_width")
         # midpoint cut at 5.0: everything below goes to code 0
-        assert coded.codes[:, 0].tolist() == [0, 0, 0, 0, 0, 1]
+        assert codes[:, 0].tolist() == [0, 0, 0, 0, 0, 1]
 
     def test_codes_dense_and_order_preserving(self):
         rng = np.random.default_rng(10)
@@ -414,10 +420,10 @@ class TestDiscretize:
         X[:, 2] = rng.integers(0, 3, size=80)  # integral passthrough column
         d = make_dataset(X, rng.integers(0, 2, size=80))
         for strategy in ("equal_frequency", "equal_width"):
-            coded = discretize(d, bins=6, strategy=strategy)
+            codes = discretize(d, bins=6, strategy=strategy)
             for j in range(5):
-                col = coded.codes[:, j]
-                card = coded.cardinalities[j]
+                col = codes[:, j]
+                card = cardinalities(codes)[j]
                 assert col.max() == card - 1
                 assert np.unique(col).shape[0] == card  # every code occurs
                 order = np.argsort(X[:, j], kind="stable")
@@ -429,10 +435,10 @@ class TestDiscretize:
         d = make_dataset(X, [0, 1, 0, 1])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            coded = discretize(d, bins=10, strategy="equal_width")
-        assert coded.codes.T.tolist() == [[0, 3, 1, 2], [0, 0, 1, 2]]
-        assert coded.cardinalities.tolist() == [4, 3]
-        assert discretize(d, bins=10).codes[:, 0].tolist() == [0, 3, 1, 2]
+            codes = discretize(d, bins=10, strategy="equal_width")
+        assert codes.T.tolist() == [[0, 3, 1, 2], [0, 0, 1, 2]]
+        assert cardinalities(codes).tolist() == [4, 3]
+        assert discretize(d, bins=10)[:, 0].tolist() == [0, 3, 1, 2]
 
     @pytest.mark.parametrize("bins,dtype", [(2, np.uint8), (10, np.uint8), (256, np.uint8),
                                             (257, np.uint16), (300, np.uint16)])
@@ -441,10 +447,10 @@ class TestDiscretize:
         X = rng.normal(size=(900, 2))
         X[:, 1] = rng.integers(0, 2, size=900)  # integral passthrough column
         d = make_dataset(X, rng.integers(0, 2, size=900))
-        coded = discretize(d, bins=bins)
-        assert coded.codes.dtype == dtype
-        assert coded.cardinalities.tolist() == [bins, 2]
-        assert int(coded.codes[:, 0].max()) == bins - 1
+        codes = discretize(d, bins=bins)
+        assert codes.dtype == dtype
+        assert cardinalities(codes).tolist() == [bins, 2]
+        assert int(codes[:, 0].max()) == bins - 1
 
     @settings(max_examples=150, deadline=None)
     @given(mixed_columns(), st.sampled_from(["equal_frequency", "equal_width"]),
@@ -457,11 +463,11 @@ class TestDiscretize:
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                coded = discretize(d, bins=bins, strategy=strategy)
+                codes = discretize(d, bins=bins, strategy=strategy)
         finally:
             dataset._CODE_BLOCK = old
-        assert np.array_equal(coded.codes, expected_codes)
-        assert np.array_equal(coded.cardinalities, expected_cards)
+        assert np.array_equal(codes, expected_codes)
+        assert np.array_equal(cardinalities(codes), expected_cards)
 
     @settings(max_examples=60, deadline=None)
     @given(mixed_columns(), st.data())
@@ -503,10 +509,10 @@ class TestDiscretize:
     def test_pair_cache_reads_the_codes_without_a_copy(self):
         rng = np.random.default_rng(12)
         d = make_dataset(rng.normal(size=(50, 4)), rng.integers(0, 2, size=50))
-        coded = discretize(d, bins=3)
-        assert coded.codes.flags.f_contiguous
-        cache = PairCache(coded.codes, d.target)
-        assert np.shares_memory(cache.columns, coded.codes)
+        codes = discretize(d, bins=3)
+        assert isinstance(codes, np.ndarray) and codes.flags.f_contiguous
+        cache = PairCache(codes, d.target)
+        assert np.shares_memory(cache.columns, codes)
 
     def test_bad_args(self):
         d = make_dataset([[1.0], [2.0]], [0, 1])

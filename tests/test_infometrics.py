@@ -422,11 +422,11 @@ class TestPairCache:
         n, d = 800, 10
         target = np.arange(n) % 20
         X = rng.normal(size=(n, d)) + target[:, None] * 0.1
-        coded = discretize(Dataset(X, tuple(map(str, range(d))), target,
+        codes = discretize(Dataset(X, tuple(map(str, range(d))), target,
                                    tuple(map(str, range(20)))), bins=64)
-        assert coded.codes.dtype == np.uint8
-        narrow = PairCache(coded.codes, target)
-        wide = PairCache(coded.codes.astype(np.intp), target)
+        assert codes.dtype == np.uint8
+        narrow = PairCache(codes, target)
+        wide = PairCache(codes.astype(np.intp), target)
         assert narrow.columns.dtype == np.uint8
         assert np.array_equal(narrow.mi_y, wide.mi_y)
         for w in range(d):

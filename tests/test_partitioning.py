@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from spfp.dataset import CodedMatrix, Dataset, discretize
+from spfp.dataset import Dataset, discretize
 from spfp.errors import ConfigError, DataError
 from spfp.infometrics import (
     PairCache,
@@ -65,14 +65,14 @@ def oracle_entropy(*columns) -> float:
     return -sum((c / n) * math.log2(c / n) for c in counts.values())
 
 
-def oracle_greedy(coded, raw, target, n_f, tol=1e-9):
+def oracle_greedy(codes, raw, target, n_f, tol=1e-9):
     """Greedy selection recomputing every term from scratch each step.
 
     Returns the selected features and each step's winning score."""
-    cols = [coded.codes[:, j] for j in range(coded.n_columns)]
+    cols = [codes[:, j] for j in range(codes.shape[1])]
     h_f = joint_entropy(cols)
     h_fy = joint_entropy(cols + [target])
-    pool = list(range(coded.n_columns))
+    pool = list(range(codes.shape[1]))
     selected: list = []
     scores: list = []
     while pool:
@@ -139,8 +139,8 @@ class TestCriteriaMet:
     def test_identity_subset(self):
         rng = np.random.default_rng(1)
         d = random_dataset(rng, 30, 4)
-        coded = discretize(d, bins=4)
-        cols = [coded.codes[:, j] for j in range(4)]
+        codes = discretize(d, bins=4)
+        cols = [codes[:, j] for j in range(4)]
         h_f = joint_entropy(cols)
         h_fy = joint_entropy(cols + [d.target])
         assert criteria_met(4, h_f, h_fy, h_f, h_fy, 2, 1e-9) == (True, True, True)
@@ -148,8 +148,8 @@ class TestCriteriaMet:
     def test_empty_subset(self):
         rng = np.random.default_rng(2)
         d = random_dataset(rng, 30, 4)
-        coded = discretize(d, bins=4)
-        cols = [coded.codes[:, j] for j in range(4)]
+        codes = discretize(d, bins=4)
+        cols = [codes[:, j] for j in range(4)]
         h_f = joint_entropy(cols)
         h_fy = joint_entropy(cols + [d.target])
         h_y = joint_entropy([d.target])
@@ -205,8 +205,8 @@ class TestBuildView:
                 n_views=1, min_features=n_f, remove_fraction=0.0, bins=4, seed=trial
             )
             vs = partition(d, cfg)
-            coded = discretize(d, bins=4)
-            expected, scores = oracle_greedy(coded, d.features, d.target, n_f)
+            codes = discretize(d, bins=4)
+            expected, scores = oracle_greedy(codes, d.features, d.target, n_f)
             assert vs.views[0].feature_ids == expected, f"trial {trial}"
             assert_allclose(vs.views[0].scores, scores, rtol=0, atol=1e-9)
 
@@ -346,8 +346,8 @@ class TestPartition:
                 vs = partition(d, cfg)
             except PoolDepletedError as exc:  # pragma: no cover - seed dependent
                 vs = ViewSet(exc.views, exc.removed_log, [], 0.0, 0.0, 7)
-        coded = discretize(d, bins=4)
-        cols = [coded.codes[:, j] for j in range(7)]
+        codes = discretize(d, bins=4)
+        cols = [codes[:, j] for j in range(7)]
         h_f = joint_entropy(cols)
         h_fy = joint_entropy(cols + [d.target])
         n_f = cfg.resolve_min_features(7)
@@ -402,12 +402,12 @@ class TestNarrowCodes:
         y = np.arange(n) % 20
         d = make_dataset(rng.normal(size=(n, 12)) + (y[:, None] % 3) * 0.5, y)
         cfg = SpfpConfig(n_views=3, min_features=3, bins=64)
-        coded = discretize(d, cfg.bins)
-        assert coded.codes.dtype == np.uint8
-        wide = CodedMatrix(coded.codes.astype(np.intp))
+        codes = discretize(d, cfg.bins)
+        assert codes.dtype == np.uint8
+        wide = codes.astype(np.intp)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # views may exhaust their pools
-            got, expected = partition(d, cfg, coded), partition(d, cfg, wide)
+            got, expected = partition(d, cfg, codes), partition(d, cfg, wide)
         assert [v.feature_ids for v in got.views] == [v.feature_ids for v in expected.views]
         assert [v.scores for v in got.views] == [v.scores for v in expected.views]
         assert (got.h_f, got.h_fy) == (expected.h_f, expected.h_fy)
@@ -507,10 +507,10 @@ class TestConditionalIndependenceReport:
     def test_identical_views_self_cmi(self):
         rng = np.random.default_rng(13)
         d = random_dataset(rng, 40, 4)
-        coded = discretize(d, bins=4)
-        report = conditional_independence_report([[0, 1], [0, 1]], coded, d.target)
+        codes = discretize(d, bins=4)
+        report = conditional_independence_report([[0, 1], [0, 1]], codes, d.target)
         h_view_given_y = oracle_entropy(
-            coded.codes[:, 0], coded.codes[:, 1], d.target
+            codes[:, 0], codes[:, 1], d.target
         ) - oracle_entropy(d.target)
         assert_allclose(report["pairwise_cmi"][0][1], h_view_given_y, atol=1e-9)
         assert_allclose(report["pairwise_cmi"][1][0], h_view_given_y, atol=1e-9)
@@ -519,8 +519,8 @@ class TestConditionalIndependenceReport:
         y = np.array([0, 1, 2, 0, 1, 2, 0, 1, 2], dtype=np.intp)
         X = np.column_stack([y, (y + 1) % 3]).astype(np.float64)
         d = make_dataset(X, y)
-        coded = discretize(d, bins=5)
-        report = conditional_independence_report([[0], [1]], coded, d.target)
+        codes = discretize(d, bins=5)
+        report = conditional_independence_report([[0], [1]], codes, d.target)
         assert_allclose(report["pairwise_cmi"], np.zeros((2, 2)), atol=1e-12)
         assert report["h_f_le_h_y"] is True
         assert report["assumption_violated"] is False
@@ -528,10 +528,10 @@ class TestConditionalIndependenceReport:
     def test_matches_counting_oracle(self):
         rng = np.random.default_rng(14)
         d = random_dataset(rng, 48, 6, n_classes=3)
-        coded = discretize(d, bins=3)
-        report = conditional_independence_report([[0, 1, 2], [3, 4, 5]], coded, d.target)
-        a = [coded.codes[:, j] for j in (0, 1, 2)]
-        b = [coded.codes[:, j] for j in (3, 4, 5)]
+        codes = discretize(d, bins=3)
+        report = conditional_independence_report([[0, 1, 2], [3, 4, 5]], codes, d.target)
+        a = [codes[:, j] for j in (0, 1, 2)]
+        b = [codes[:, j] for j in (3, 4, 5)]
         y = d.target
         expected = max(
             0.0,
@@ -546,6 +546,6 @@ class TestConditionalIndependenceReport:
     def test_requires_two_views(self):
         rng = np.random.default_rng(15)
         d = random_dataset(rng, 20, 3)
-        coded = discretize(d, bins=3)
+        codes = discretize(d, bins=3)
         with pytest.raises(ConfigError):
-            conditional_independence_report([[0, 1]], coded, d.target)
+            conditional_independence_report([[0, 1]], codes, d.target)
