@@ -13,17 +13,7 @@ import importlib
 _EXPORTS = {
     "errors": ("SpfpError", "ConfigError", "DataError"),
     "dataset": ("Dataset", "SplitSpec", "load_csv", "discretize", "split", "split_rows"),
-    "infometrics": (
-        "entropy",
-        "joint_entropy",
-        "conditional_entropy",
-        "mutual_information",
-        "conditional_mutual_information",
-        "interaction_gain",
-        "pearson_abs",
-        "RowPartition",
-        "PairCache",
-    ),
+    "infometrics": ("RowPartition", "PairCache"),
     "partitioning": (
         "SpfpConfig",
         "View",

@@ -136,10 +136,15 @@ def _config_flags(args) -> dict:
 
 
 def _write_json(path: Path, doc: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+    """Write `doc` as sorted, indented JSON; a path that cannot be written
+    is a DataError naming it."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False)
+            fh.write("\n")
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc}") from exc
 
 
 def _artifact(path: Path, config: dict, body: dict) -> None:
@@ -199,7 +204,7 @@ def _save_cache(cache: Path, arrays: dict, meta: dict | None = None) -> None:
             np.save(cache / f"{name}.npy", a, allow_pickle=False)
         if meta is not None:
             _write_json(cache / "key.json", meta)
-    except OSError:
+    except (OSError, DataError):
         shutil.rmtree(cache, ignore_errors=True)
 
 
@@ -270,6 +275,8 @@ def _read_views_doc(args) -> tuple[dict, RunConfig, Path]:
         raise DataError(f"views file not found: {path}")
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise DataError(f"cannot read views file {path}: {exc}") from exc
     except ValueError as exc:
         raise DataError(f"views file is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "config" not in doc or "views" not in doc:

@@ -16,17 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "RowPartition",
-    "PairCache",
-    "entropy",
-    "joint_entropy",
-    "conditional_entropy",
-    "mutual_information",
-    "conditional_mutual_information",
-    "interaction_gain",
-    "pearson_abs",
-]
+__all__ = ["RowPartition", "PairCache"]
 
 # Elements per column chunk of a counting sweep (1 MiB of int64 keys): the
 # key block and the count table stay in cache, which measured about a third
@@ -142,70 +132,6 @@ class RowPartition:
         return float(_entropies(self.group_sizes[None])[0])
 
 
-def entropy(column) -> float:
-    """Shannon entropy H of one coded column, in bits."""
-    codes = _as_codes(column)
-    return float(_entropies(np.bincount(codes)[None])[0])
-
-
-def joint_entropy(columns) -> float:
-    """Entropy of the row tuples over one or more coded columns, in bits."""
-    return RowPartition.from_columns(columns).entropy()
-
-
-def conditional_entropy(x, given) -> float:
-    """H(X|Y) = H(X,Y) - H(Y), in bits."""
-    xc, yc = _as_codes(x, "x"), _as_codes(given, "given")
-    return joint_entropy([xc, yc]) - entropy(yc)
-
-
-def mutual_information(x, y) -> float:
-    """I(X;Y) = H(X) + H(Y) - H(X,Y), in bits; small negatives clamped to 0."""
-    xc, yc = _as_codes(x, "x"), _as_codes(y, "y")
-    value = entropy(xc) + entropy(yc) - joint_entropy([xc, yc])
-    return max(0.0, value)
-
-
-def conditional_mutual_information(x, y, given) -> float:
-    """I(X;Y|Z) = H(X,Z) + H(Y,Z) - H(X,Y,Z) - H(Z), in bits; clamped at 0."""
-    xc = _as_codes(x, "x")
-    yc = _as_codes(y, "y")
-    zc = _as_codes(given, "given")
-    value = (
-        joint_entropy([xc, zc])
-        + joint_entropy([yc, zc])
-        - joint_entropy([xc, yc, zc])
-        - entropy(zc)
-    )
-    return max(0.0, value)
-
-
-def interaction_gain(x, y, target) -> float:
-    """I(X;Y) - I(X;Y|target), applied exactly as written: complementary
-    pairs (XOR against their parity) come out negative, redundant pairs
-    positive. No sign flip is applied on top of the difference."""
-    xc = _as_codes(x, "x")
-    yc = _as_codes(y, "y")
-    tc = _as_codes(target, "target")
-    return mutual_information(xc, yc) - conditional_mutual_information(xc, yc, tc)
-
-
-def pearson_abs(x, y) -> float:
-    """Absolute sample Pearson correlation; 0 when either input has zero variance."""
-    xv = np.asarray(x, dtype=np.float64)
-    yv = np.asarray(y, dtype=np.float64)
-    if xv.shape != yv.shape:
-        raise ValueError(f"length mismatch: {xv.shape[0]} vs {yv.shape[0]}")
-    if xv.shape[0] < 2:
-        raise ValueError("at least two observations required")
-    xc = xv - xv.mean()
-    yc = yv - yv.mean()
-    denom = np.sqrt((xc * xc).sum() * (yc * yc).sum())
-    if denom == 0.0:
-        return 0.0
-    return min(1.0, float(abs((xc * yc).sum() / denom)))
-
-
 class PairCache:
     """Pairwise MI and CMI-given-target, in bits, memoised by feature.
 
@@ -231,7 +157,7 @@ class PairCache:
         self._cards = self._cols.max(axis=1).astype(np.intp) + 1
         self._n = self._cols.shape[1]
         self._t_card = int(self._target.max()) + 1
-        self._h_target = entropy(self._target)
+        self._h_target = float(_entropies(np.bincount(self._target)[None])[0])
         # H(f) and H(f,Y) of every feature: the sweep of a constant winner
         self._h_feat, self._h_feat_t = self._sweep(
             self._target, 1, np.arange(self._cols.shape[0]))

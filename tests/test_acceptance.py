@@ -3,7 +3,8 @@
 Each test covers one gate and prints a single pass line; run with
 ``pytest -v`` to get the matching one-line verdict per gate. The suite
 is self-contained: oracles are recomputed from scratch here rather than
-imported from the per-module test files.
+imported from the per-module test files; the scalar estimators come from
+`oracles.py`.
 """
 
 import json
@@ -17,6 +18,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import (
+    conditional_entropy,
+    conditional_mutual_information,
+    entropy,
+    interaction_gain,
+    joint_entropy,
+    mutual_information,
+    pearson_abs,
+)
 from spfp.cli import main
 from spfp.dataset import Dataset, discretize
 from spfp.ensemble import metrics
@@ -29,15 +39,6 @@ from spfp.evalstats import (
     win_tie_loss,
 )
 from spfp.evalstats import _magnitude
-from spfp.infometrics import (
-    conditional_entropy,
-    conditional_mutual_information,
-    entropy,
-    interaction_gain,
-    joint_entropy,
-    mutual_information,
-    pearson_abs,
-)
 from spfp.partitioning import SpfpConfig, partition
 
 

@@ -1,5 +1,5 @@
-"""The public surface: every exported name resolves, and the package
-re-exports every library module's public names."""
+"""The public surface: every exported name resolves, the package
+re-exports every library module's public names, and the names are pinned."""
 
 import importlib
 import pkgutil
@@ -31,3 +31,16 @@ def test_package_reexports_every_library_name():
     assert spfp.split_rows.__module__ == "spfp.dataset"
     assert spfp.midranks.__module__ == "spfp.evalstats"
     assert spfp.BOOTSTRAP_BLOCK == spfp.evalstats.BOOTSTRAP_BLOCK
+
+
+def test_public_surface_is_pinned():
+    # a change to the exports must change this list too
+    assert sorted(spfp.__all__) == [
+        "BOOTSTRAP_BLOCK", "ComparisonVerdict", "ConfigError", "DataError", "Dataset",
+        "MetricReport", "PairCache", "PoolDepletedError", "ProbModel", "RowPartition",
+        "RunMatrix", "SpfpConfig", "SpfpError", "SplitSpec", "View", "ViewSet", "__version__",
+        "adjust", "bootstrap_ci", "build_view", "cliffs_delta", "conditional_independence_report",
+        "conover_posthoc", "criteria_met", "discretize", "ensemble_predict", "friedman",
+        "load_csv", "metrics", "midranks", "normalized_weights", "partition", "predict_proba",
+        "split", "split_rows", "train_builtin", "view_stats", "win_tie_loss",
+    ]

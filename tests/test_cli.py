@@ -1557,3 +1557,37 @@ class TestStatsCommand:
         assert "seed must be non-negative" in err
         assert "internal error" not in err
         assert not (tmp_path / "verdicts.json").exists()
+
+
+class TestUnusablePaths:
+    """A path a stage cannot read or write is a data error (exit 3) whose
+    message names it, not an internal error."""
+
+    @pytest.mark.parametrize("command", ["evaluate", "diagnose"])
+    def test_directory_as_views_file_exits_3(self, tmp_path, capsys, command):
+        views = tmp_path / "views.json"
+        views.mkdir()
+        assert main([command, "--views-file", str(views), "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert f"error: cannot read views file {views}: " in err
+        assert "internal error" not in err
+
+    @pytest.mark.parametrize("command", ["partition", "stats"])
+    def test_out_naming_a_file_exits_3(self, workdir, capsys, command):
+        tmp_path, csv_path = workdir
+        out = tmp_path / "taken"
+        out.write_text("a file where the output directory goes", encoding="utf-8")
+        if command == "partition":
+            argv, artifact = partition_argv(csv_path, out), "views.json"
+        else:
+            write_matrix_csv(tmp_path / "acc.csv", {
+                "ours": [i + 2.0 for i in range(10)], "other": [i + 1.0 for i in range(10)],
+                "base": [float(i) for i in range(10)]})
+            argv = ["stats", "--matrix", f"acc={tmp_path / 'acc.csv'}", "--benchmark", "base",
+                    "--bootstrap", "200", "--out", str(out)]
+            artifact = "verdicts.json"
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert f"error: cannot write {out / artifact}: " in err
+        assert "internal error" not in err
+        assert out.read_text(encoding="utf-8") == "a file where the output directory goes"

@@ -11,11 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from spfp.dataset import Dataset, discretize
-from spfp.infometrics import (
-    PairCache,
-    RowPartition,
-    _entropies,
+from oracles import (
     conditional_entropy,
     conditional_mutual_information,
     entropy,
@@ -24,6 +20,8 @@ from spfp.infometrics import (
     mutual_information,
     pearson_abs,
 )
+from spfp.dataset import Dataset, discretize
+from spfp.infometrics import PairCache, RowPartition, _entropies
 
 
 def oracle_entropy(*columns):

@@ -18,15 +18,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from oracles import conditional_mutual_information, joint_entropy, mutual_information, pearson_abs
 from spfp.dataset import Dataset, discretize
 from spfp.errors import ConfigError, DataError
-from spfp.infometrics import (
-    PairCache,
-    conditional_mutual_information,
-    joint_entropy,
-    mutual_information,
-    pearson_abs,
-)
+from spfp.infometrics import PairCache
 from spfp.partitioning import (
     PoolDepletedError,
     SpfpConfig,
