@@ -135,11 +135,22 @@ def _config_flags(args) -> dict:
     return {k: v for k, v in vars(args).items() if k in _KEYS}
 
 
+def _writable(path: Path) -> Path:
+    """`path`, its directory created; a directory that cannot be made is a
+    DataError naming `path`. Each stage makes its first artifact's directory
+    before it reads any input."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc}") from exc
+    return path
+
+
 def _write_json(path: Path, doc: dict) -> None:
     """Write `doc` as sorted, indented JSON; a path that cannot be written
     is a DataError naming it."""
+    _writable(path)
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False)
             fh.write("\n")
@@ -234,9 +245,10 @@ def _read_cache(cache: Path, rc: RunConfig, *names: str) -> tuple[dict, dict] | 
     return meta, arrays
 
 
-def _load_and_split(rc: RunConfig, cache: Path) -> tuple[Dataset, Dataset, Dataset, dict]:
-    """The dataset, from the parse cache when its key matches, its split,
-    and the load counters and the cache's outcome for run_log.json."""
+def _load_and_split(rc: RunConfig, cache: Path) -> tuple[Dataset, Dataset, dict]:
+    """The train and test rows of the dataset, read from the parse cache
+    when its key matches, and the load counters and the cache's outcome for
+    run_log.json."""
     hit = _read_cache(cache, rc, "features", "target")
     if hit is None:
         d = load_csv(rc.input, rc.target, missing_policy=rc.missing_policy)
@@ -246,8 +258,7 @@ def _load_and_split(rc: RunConfig, cache: Path) -> tuple[Dataset, Dataset, Datas
         d = Dataset(arrays["features"], tuple(meta["feature_names"]), arrays["target"],
                     tuple(meta["class_names"]))
         load_log = {**meta["load_counters"], "parse_cache": "hit"}
-    train, test = split(d, SplitSpec(rc.test_fraction, rc.seed))
-    return d, train, test, load_log
+    return *split(d, SplitSpec(rc.test_fraction, rc.seed)), load_log
 
 
 def _load_train(rc: RunConfig, cache: Path | None = None) -> tuple[Dataset, int, dict]:
@@ -330,7 +341,7 @@ def _view_ids(doc: dict, feature_names) -> list[list[int]]:
 def cmd_partition(args) -> int:
     rc = RunConfig(**_config_flags(args))
     started = time.time(), time.perf_counter()
-    out = Path(rc.out)
+    out = _writable(Path(rc.out) / "views.json").parent
     cache, key = out / CACHE_DIR, _cache_key(rc)
     shutil.rmtree(cache, ignore_errors=True)  # then it holds what this run writes
     train, n_test_rows, load_counters = _load_train(rc, cache)
@@ -398,10 +409,6 @@ def cmd_partition(args) -> int:
 # evaluate
 
 
-def _model_name(index: int) -> str:
-    return f"theta_{index + 1}"
-
-
 def _parsed(convert, text: str):
     """``convert(text)``, or None where the text does not parse."""
     try:
@@ -463,61 +470,38 @@ def _read_proba_csv(path: Path, n_rows: int, n_classes: int) -> np.ndarray:
     return proba
 
 
-def _training_summary(model: ProbModel, max_iters: int) -> dict:
-    return {
-        "iterations": model.iterations,
-        "final_loss": model.final_loss,
-        "converged": model.iterations < max_iters,
-    }
-
-
 def cmd_evaluate(args) -> int:
     from .ensemble import (
         ensemble_predict, metrics, normalized_weights, predict_proba, train_builtin,
     )
 
     doc, rc, cache = _read_views_doc(args)
+    out = _writable(Path(rc.out) / "metrics.json").parent
     started = time.time(), time.perf_counter()
-    d, train, test, load_log = _load_and_split(rc, cache)
-    view_ids = _view_ids(doc, d.feature_names)
-    n_views = len(view_ids)
-    n_classes = d.n_classes
-    del d  # the models read only the split rows
+    train, test, load_log = _load_and_split(rc, cache)
+    view_ids = _view_ids(doc, train.feature_names)
+    members = [f"theta_{g + 1}" for g in range(len(view_ids))]
+    n_classes = train.n_classes
 
-    reports: dict[str, object] = {}
+    # Each branch fills the test-row probabilities of its models and times
+    # what produced them; the built-in one also scores its members on the
+    # holdout and keeps the models.
+    probas: dict[str, np.ndarray] = {}
     elapsed: dict[str, float] = {}
-    member_auc: list[float] = []
-    ensembles_meta: dict[str, dict] = {}
-    trained: dict[str, ProbModel] = {}  # built-in models only
-    test_probas: list[np.ndarray] = []  # the ensemble members
-
+    holdout_auc: list[float] = []
+    trained: dict[str, ProbModel] = {}
     if args.import_proba:
-        proba_dir = Path(args.import_proba)
         weighting = {"source": "imported_test"}
-        for g in range(n_views):
-            name = _model_name(g)
+        for name in members + ["All"]:
+            path = Path(args.import_proba) / f"{name}.csv"
+            if name == "All" and not path.exists():
+                print("note: no All.csv in import directory, skipping benchmark", file=sys.stderr)
+                break
             tm = time.perf_counter()
-            proba = _read_proba_csv(
-                proba_dir / f"{name}.csv", test.n_rows, n_classes
-            )
-            test_probas.append(proba)
-            report = metrics(proba, test.target)
+            probas[name] = _read_proba_csv(path, test.n_rows, n_classes)
             elapsed[name] = time.perf_counter() - tm
-            reports[name] = report
-            member_auc.append(report.auc)
-        all_path = proba_dir / "All.csv"
-        if all_path.exists():
-            tm = time.perf_counter()
-            proba = _read_proba_csv(all_path, test.n_rows, n_classes)
-            reports["All"] = metrics(proba, test.target)
-            elapsed["All"] = time.perf_counter() - tm
-        else:
-            print("note: no All.csv in import directory, skipping benchmark", file=sys.stderr)
     else:
-        weighting = {
-            "source": "train_holdout",
-            "holdout_fraction": rc.holdout_fraction,
-        }
+        weighting = {"source": "train_holdout", "holdout_fraction": rc.holdout_fraction}
         inner_train, holdout = split(
             train, SplitSpec(rc.holdout_fraction, rc.seed), stream=HOLDOUT_STREAM
         )
@@ -536,44 +520,40 @@ def cmd_evaluate(args) -> int:
                 feature = inner_train.feature_names[columns[int(column[1])]]
                 raise DataError(f"model {name}, feature {feature!r}: {exc}") from None
 
-        for g, ids in enumerate(view_ids):
-            name = _model_name(g)
+        for name, ids in zip(members, view_ids):
             tm = time.perf_counter()
-            model = fit(name, inner_train.features[:, ids], ids)
-            auc_g = metrics(predict_proba(model, holdout.features[:, ids]), holdout.target).auc
-            proba = predict_proba(model, test.features[:, ids])
+            model = trained[name] = fit(name, inner_train.features[:, ids], ids)
+            holdout_auc.append(
+                metrics(predict_proba(model, holdout.features[:, ids]), holdout.target).auc)
+            probas[name] = predict_proba(model, test.features[:, ids])
             elapsed[name] = time.perf_counter() - tm
-            trained[name] = model
-            test_probas.append(proba)
-            member_auc.append(auc_g)
-            reports[name] = metrics(proba, test.target)
         del holdout  # `All` is scored on the test rows only
         tm = time.perf_counter()
-        all_model = fit("All", inner_train.features, range(inner_train.n_features))
-        reports["All"] = metrics(predict_proba(all_model, test.features), test.target)
+        model = trained["All"] = fit("All", inner_train.features, range(inner_train.n_features))
+        probas["All"] = predict_proba(model, test.features)
         elapsed["All"] = time.perf_counter() - tm
-        trained["All"] = all_model
 
-    for k in range(2, n_views + 1):
+    reports = {name: metrics(p, test.target) for name, p in probas.items()}
+    # imported members are weighted by their test AUC, having no holdout
+    member_auc = holdout_auc or [reports[name].auc for name in members]
+    ensembles: dict[str, dict] = {}
+    for k in range(2, len(members) + 1):
         name = f"E_1:{k}"
         tm = time.perf_counter()
         kept, weights = normalized_weights(member_auc[:k])
-        proba = ensemble_predict([test_probas[i] for i in kept], weights)
-        reports[name] = metrics(proba, test.target)
+        proba = ensemble_predict([probas[members[i]] for i in kept], weights)
         elapsed[name] = time.perf_counter() - tm
-        ensembles_meta[name] = {
-            "members": [_model_name(i) for i in kept],
-            "weights": [float(w) for w in weights],
-        }
+        reports[name] = metrics(proba, test.target)
+        ensembles[name] = {"members": [members[i] for i in kept],
+                           "weights": [float(w) for w in weights]}
 
-    training = {name: _training_summary(m, rc.max_iters) for name, m in trained.items()}
-    out = Path(rc.out)
+    training = {name: {"iterations": m.iterations, "final_loss": m.final_loss,
+                       "converged": m.iterations < rc.max_iters}
+                for name, m in trained.items()}
     _artifact(out / "metrics.json", rc.to_dict(), {
         "weighting": weighting,
-        "member_auc": {
-            _model_name(g): member_auc[g] for g in range(n_views)
-        },
-        "ensembles": ensembles_meta,
+        "member_auc": dict(zip(members, member_auc)),
+        "ensembles": ensembles,
         "training": training,
         "models": {name: rep.to_dict() for name, rep in reports.items()},
     })
@@ -609,6 +589,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_diagnose(args) -> int:
     doc, rc, cache = _read_views_doc(args)
+    out = _writable(Path(rc.out) / "independence.json").parent
     started = time.time(), time.perf_counter()
     hit = _read_cache(cache, rc, "codes", "train_target")
     if hit is None:
@@ -626,7 +607,6 @@ def cmd_diagnose(args) -> int:
     report = conditional_independence_report(
         view_ids, codes, target, tolerance=rc.entropy_tolerance
     )
-    out = Path(rc.out)
     _artifact(out / "independence.json", rc.to_dict(), report)
     _update_run_log(out, "diagnose", started, load_log)
     cmi = np.asarray(report["pairwise_cmi"])
@@ -682,6 +662,7 @@ def cmd_stats(args) -> int:
     if unknown_lower:
         raise ConfigError(f"--lower-better names without a matrix: {sorted(unknown_lower)}")
 
+    out = _writable(Path(args.out) / "verdicts.json").parent
     started = time.time(), time.perf_counter()
     table = win_tie_loss(
         matrices,
@@ -691,7 +672,6 @@ def cmd_stats(args) -> int:
         confidence=args.confidence,
         seed=args.seed,
     )
-    out = Path(args.out)
     config = {
         "alpha": args.alpha,
         "bootstrap_replicates": args.bootstrap,

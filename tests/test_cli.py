@@ -79,6 +79,13 @@ def read_json(path: Path) -> dict:
     return json.loads(path.read_text(encoding="utf-8"))
 
 
+def metrics_digest(out: Path) -> str:
+    """SHA-256 of metrics.json under `out`, the run's paths left out of the config."""
+    doc = read_json(out / "metrics.json")
+    del doc["config"]["input"], doc["config"]["out"]
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+
+
 class TestRunConfig:
     def test_round_trip_equality(self):
         rc = RunConfig(input="a.csv", target="y", seed=3, bins=6, l2=0.01)
@@ -503,6 +510,15 @@ class TestEvaluateCommand:
             assert entry["evaluations"] > doc["training"][name]["iterations"]
             assert entry["fallbacks"] == 0
 
+    def test_metrics_bytes_pinned(self, partitioned):
+        # metrics.json as format 7 writes it on the 12-column fixture; the
+        # built-in models' bits depend on the BLAS kernels, as the views
+        # pin's do
+        tmp_path, _ = partitioned
+        assert main(["evaluate", "--out", str(tmp_path)]) == 0
+        assert metrics_digest(tmp_path) == (
+            "5b73cfed4c3aa54c8d2c2f624becbeecf462cd180644db69b43654e7c80a03cc")
+
     def test_rerun_is_byte_identical(self, partitioned):
         tmp_path, _ = partitioned
         assert main(["evaluate", "--out", str(tmp_path)]) == 0
@@ -772,6 +788,14 @@ class TestImportProba:
         err = capsys.readouterr().err
         assert "no All.csv" not in err
         assert "warning" not in err
+
+    def test_metrics_bytes_pinned(self, proba_dir):
+        tmp_path, pdir, _ = proba_dir
+        assert main(["evaluate", "--out", str(tmp_path), "--import-proba", str(pdir)]) == 0
+        assert metrics_digest(tmp_path) == (
+            "037f1eee22fe46feb7ac238162c0130fb2afde2107356b2be6cb330c6f41ff51")
+        timed = read_json(tmp_path / "run_log.json")["evaluate"]["model_elapsed_seconds"]
+        assert set(timed) == set(read_json(tmp_path / "metrics.json")["models"])
 
     def test_ensemble_is_the_auc_weighted_average(self, proba_dir):
         tmp_path, pdir, _ = proba_dir
@@ -1591,3 +1615,35 @@ class TestUnusablePaths:
         assert f"error: cannot write {out / artifact}: " in err
         assert "internal error" not in err
         assert out.read_text(encoding="utf-8") == "a file where the output directory goes"
+
+    @pytest.mark.parametrize("command,artifact,work", [
+        ("partition", "views.json", ["load_csv"]),
+        ("evaluate", "metrics.json", ["_load_and_split"]),
+        ("diagnose", "independence.json", ["_read_cache", "_load_train"]),
+        ("stats", "verdicts.json", []),
+    ])
+    def test_out_naming_a_file_exits_3_before_any_work(
+            self, partitioned, capsys, monkeypatch, command, artifact, work):
+        tmp_path, csv_path = partitioned
+        out = tmp_path / "taken"
+        out.write_text("a file where the output directory goes", encoding="utf-8")
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the stage worked before checking --out")
+
+        for name in work:
+            monkeypatch.setattr(cli, name, unreachable)
+        monkeypatch.setattr(evalstats, "win_tie_loss", unreachable)
+        views = ["--views-file", str(tmp_path / "views.json")]
+        write_matrix_csv(tmp_path / "acc.csv", {"ours": [2.0, 3.0, 4.0], "base": [1.0, 2.0, 3.0]})
+        argv = {
+            "partition": partition_argv(csv_path, out),
+            "evaluate": ["evaluate", *views, "--out", str(out)],
+            "diagnose": ["diagnose", *views, "--out", str(out)],
+            "stats": ["stats", "--matrix", f"acc={tmp_path / 'acc.csv'}", "--benchmark", "base",
+                      "--out", str(out)],
+        }[command]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert f"error: cannot write {out / artifact}: " in err
+        assert "internal error" not in err

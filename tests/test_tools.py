@@ -1,5 +1,7 @@
 """The repository's tools: `tools/src_size.py`, which counts the package
-source and exported names that each change's size is stated in."""
+source and exported names that each change's size is stated in, and
+`tools/artifact_hashes.py`, which hashes every deterministic output of the
+four commands on the benchmark workloads."""
 
 import re
 import subprocess
@@ -23,3 +25,21 @@ def test_src_size_counts_the_working_tree():
     assert lines == sum(p.read_text(encoding="utf-8").count("\n") for p in sources)
     assert statements > 0
     assert names == len(spfp.__all__) - 1  # __version__ is not in _EXPORTS
+
+
+def test_artifact_hashes_lists_every_output(tmp_path):
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "artifact_hashes.py"), "--src", str(ROOT / "src"),
+         "--work", str(tmp_path), "--workload", "lowcard"],
+        capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert all(re.fullmatch(r"[0-9a-f]{12} \S+", line) for line in lines), lines
+    paths = [line.split(" ", 1)[1] for line in lines]
+    cache = [f"out/.spfp_cache/{name}" for name in (
+        "codes.npy", "features.npy", "key.json", "target.npy", "train_target.npy")]
+    artifacts = ["out/views.json", "out/view_stats.json", "out/metrics.json",
+                 "out/independence.json", "import/metrics.json", "stats/verdicts.json"]
+    ops = ("partition", "evaluate", "import", "diagnose", "stats")
+    logs = [f"logs/{op}.{stream}" for op in ops for stream in ("stdout", "stderr")]
+    assert paths == sorted(f"lowcard/{p}" for p in cache + artifacts + logs)

@@ -1,0 +1,110 @@
+"""Hashes of every deterministic output of the four commands on the
+benchmark workloads, for showing that two source trees write the same bytes.
+
+    python tools/artifact_hashes.py --src SRC --work DIR [--seed 11] [--workload NAME ...]
+
+SRC is the directory that holds the `spfp` package (`src` of a checkout).
+For each workload (both by default), the inputs are written under
+DIR/<workload>/inputs by `bench/workloads.generate`, and `partition`,
+`evaluate`, `evaluate --import-proba` (where the workload has prediction
+files), `diagnose` and `stats` run in that order, each in its own
+interpreter with PYTHONPATH=SRC, into fixed directories under
+DIR/<workload>. The config inside each artifact holds these paths, so two
+trees compare only when run with the same DIR:
+
+    python tools/artifact_hashes.py --src old/src --work /tmp/hashes > old.txt
+    python tools/artifact_hashes.py --src src --work /tmp/hashes > new.txt
+    diff old.txt new.txt
+
+Prints one `sha256[:12] <path relative to DIR>` line per file, sorted: every
+artifact, every parse-cache file and each command's stdout and stderr;
+`run_log.json`, which holds timings, is left out. Exits 1 if a command
+fails. Standard library and numpy only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+OUTPUTS = ("out", "import", "stats", "logs")  # the directories the commands fill
+
+
+def commands(inp, work: Path) -> list[tuple[str, list[str]]]:
+    """Each command's name and arguments for the inputs `inp` of one workload."""
+    out, imported, stats = (str(work / d) for d in ("out", "import", "stats"))
+    plan = [
+        ("partition", ["partition", *inp.partition_args, "--out", out]),
+        ("evaluate", ["evaluate", "--out", out]),
+        ("import", ["evaluate", "--views-file", f"{out}/views.json",
+                    "--import-proba", str(inp.proba_dir), "--out", imported]),
+        ("diagnose", ["diagnose", "--out", out]),
+        ("stats", ["stats", *inp.stats_args, "--out", stats]),
+    ]
+    return [(op, argv) for op, argv in plan if op != "import" or inp.probas]
+
+
+def run_commands(inp, src: Path, work: Path) -> bool:
+    """Run every command on the inputs `inp`, keeping each one's stdout and
+    stderr under work/logs; False if one fails."""
+    (work / "logs").mkdir(parents=True)
+    env = dict(os.environ, PYTHONPATH=str(src))
+    for op, argv in commands(inp, work):
+        done = subprocess.run([sys.executable, "-m", "spfp.cli", *argv], env=env,
+                              capture_output=True, check=False)
+        (work / "logs" / f"{op}.stdout").write_bytes(done.stdout)
+        (work / "logs" / f"{op}.stderr").write_bytes(done.stderr)
+        if done.returncode != 0:
+            print(f"error: {op} exited {done.returncode} in {work}:\n"
+                  f"{done.stderr.decode(errors='replace')}", file=sys.stderr)
+            return False
+    return True
+
+
+def listing(work: Path, names: list[str]) -> list[str]:
+    """The `sha256[:12] path` lines of the outputs of workloads `names`."""
+    lines = []
+    for name in names:
+        for d in OUTPUTS:
+            for path in (work / name / d).rglob("*"):
+                if path.is_file() and path.name != "run_log.json":
+                    digest = hashlib.sha256(path.read_bytes()).hexdigest()[:12]
+                    lines.append(f"{digest} {path.relative_to(work).as_posix()}")
+    return sorted(lines, key=lambda line: line.split(" ", 1)[1])
+
+
+def main(argv: list[str] | None = None) -> int:
+    sys.path.insert(0, str(ROOT / "bench"))
+    import workloads
+
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--src", required=True, type=Path,
+                        help="directory that holds the spfp package")
+    parser.add_argument("--work", required=True, type=Path,
+                        help="directory for inputs and outputs")
+    parser.add_argument("--seed", type=int, default=11)
+    parser.add_argument("--workload", action="append", choices=workloads.WORKLOADS,
+                        help="workload to run (repeatable; default: all)")
+    args = parser.parse_args(argv)
+    src, work = args.src.resolve(), args.work.resolve()
+    # workloads.generate derives the test rows with spfp.dataset.split
+    sys.path.insert(0, str(src))
+    names = args.workload or list(workloads.WORKLOADS)
+    for name in names:
+        for d in ("inputs", *OUTPUTS):  # only what this tool writes
+            shutil.rmtree(work / name / d, ignore_errors=True)
+        inp = workloads.generate(name, args.seed, work / name / "inputs")
+        if not run_commands(inp, src, work / name):
+            return 1
+    print("\n".join(listing(work, names)))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
