@@ -6,7 +6,10 @@ reports metrics for views, prefix ensembles, and the all-features
 benchmark, `diagnose` checks the pairwise conditional-independence
 assumption, `stats` runs the rank-based comparison over run matrices.
 `partition` and `diagnose` never load `ensemble` or `evalstats`, and
-`stats` never loads `ensemble`.
+`stats` never loads `ensemble`. No command loads `numpy.ma`, which numpy
+imports on a call of `np.unique` without return flags or of `np.quantile`,
+so no stage calls either; only a CSV parse under `--missing-policy median`
+loads it, through `np.median`.
 
 `partition` leaves a parse cache beside views.json: the parsed table and
 the training rows' codes, which `evaluate` and `diagnose` read instead of
@@ -245,17 +248,21 @@ def _read_cache(cache: Path, rc: RunConfig, *names: str) -> tuple[dict, dict] | 
     return meta, arrays
 
 
-def _load_and_split(rc: RunConfig, cache: Path) -> tuple[Dataset, Dataset, dict]:
+def _load_and_split(
+    rc: RunConfig, cache: Path, features: bool = True
+) -> tuple[Dataset, Dataset, dict]:
     """The train and test rows of the dataset, read from the parse cache
     when its key matches, and the load counters and the cache's outcome for
-    run_log.json."""
-    hit = _read_cache(cache, rc, "features", "target")
+    run_log.json. Without `features` a hit reads the target alone, as the
+    split does, and the rows it returns hold no feature columns."""
+    hit = _read_cache(cache, rc, *(("features",) if features else ()), "target")
     if hit is None:
         d = load_csv(rc.input, rc.target, missing_policy=rc.missing_policy)
         load_log = {**_load_counters(d), "parse_cache": "miss"}
     else:
         meta, arrays = hit
-        d = Dataset(arrays["features"], tuple(meta["feature_names"]), arrays["target"],
+        table = arrays.get("features", np.empty((meta["n_rows"], 0)))
+        d = Dataset(table, tuple(meta["feature_names"]), arrays["target"],
                     tuple(meta["class_names"]))
         load_log = {**meta["load_counters"], "parse_cache": "hit"}
     return *split(d, SplitSpec(rc.test_fraction, rc.seed)), load_log
@@ -478,7 +485,8 @@ def cmd_evaluate(args) -> int:
     doc, rc, cache = _read_views_doc(args)
     out = _writable(Path(rc.out) / "metrics.json").parent
     started = time.time(), time.perf_counter()
-    train, test, load_log = _load_and_split(rc, cache)
+    # imported members need only the test rows' targets
+    train, test, load_log = _load_and_split(rc, cache, features=not args.import_proba)
     view_ids = _view_ids(doc, train.feature_names)
     members = [f"theta_{g + 1}" for g in range(len(view_ids))]
     n_classes = train.n_classes
@@ -636,11 +644,14 @@ def _read_run_matrix(path: Path, lower_better: bool) -> RunMatrix:
         raise DataError(f"{path}: non-numeric cell ({exc})") from exc
     if any(len(r) != len(names) for r in values):
         raise DataError(f"{path}: ragged rows")
-    return RunMatrix(
-        values=np.asarray(values),
-        treatment_names=names,
-        higher_is_better=not lower_better,
-    )
+    try:
+        return RunMatrix(
+            values=np.asarray(values),
+            treatment_names=names,
+            higher_is_better=not lower_better,
+        )
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 def cmd_stats(args) -> int:

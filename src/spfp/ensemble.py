@@ -185,8 +185,10 @@ def train_builtin(
     if l2 < 0:
         raise ConfigError("l2 must be >= 0")
     n, d = X.shape
+    if n == 0:
+        raise DataError("training set is empty")
     n_cls = int(n_classes) if n_classes is not None else int(y.max()) + 1
-    if np.unique(y).shape[0] < 2:
+    if y.min() == y.max():
         raise DataError("training data contains a single class")
     if y.min() < 0 or y.max() >= n_cls:
         raise DataError(f"class codes outside the {n_cls} model columns")
@@ -331,14 +333,14 @@ def _ovr_auc(proba: np.ndarray, truth: np.ndarray) -> float:
     AUC and are skipped.
     """
     n = truth.shape[0]
+    ranks = midranks(proba, axis=0)
     per_class = []
     for c in range(proba.shape[1]):
         pos = truth == c
         n_pos = int(pos.sum())
         if n_pos == 0 or n_pos == n:
             continue
-        ranks = midranks(proba[:, c])
-        auc = (float(ranks[pos].sum()) - n_pos * (n_pos + 1) / 2.0) / (
+        auc = (float(ranks[pos, c].sum()) - n_pos * (n_pos + 1) / 2.0) / (
             n_pos * (n - n_pos)
         )
         per_class.append(auc)

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataset import _sorted_quantiles
 from .errors import ConfigError, DataError
 from .seeding import BOOTSTRAP_STREAM, substream
 
@@ -68,8 +69,11 @@ class RunMatrix:
             raise DataError("one treatment name per column required")
         if len(set(self.treatment_names)) != k:
             raise DataError("treatment names must be unique")
-        if not np.isfinite(self.values).all():
-            raise DataError("run matrix contains non-finite cells")
+        finite = np.isfinite(self.values)
+        if not finite.all():
+            i, j = np.argwhere(~finite)[0]
+            raise DataError(f"run matrix has a non-finite cell in run row {i + 1}, "
+                            f"model {self.treatment_names[j]!r}")
 
 
 @dataclass
@@ -99,15 +103,25 @@ def midranks(values, axis: int = -1) -> np.ndarray:
     """1-based ranks of finite values along `axis`, ties sharing the mean
     of their positions (scipy's ``rankdata(method="average")``).
 
-    A midrank is a whole or half number, so the result is exact.
+    A midrank is a whole or half number, so the result is exact. One
+    argsort orders every slice; a tie run's members share the mean of its
+    first and last sorted positions, whatever order the sort left them in.
     """
-
-    def ranks_1d(x: np.ndarray) -> np.ndarray:
-        _, inverse, counts = np.unique(x, return_inverse=True, return_counts=True)
-        last = np.cumsum(counts)  # 1-based position of each tie run's end
-        return (last - (counts - 1) / 2.0)[inverse]
-
-    return np.apply_along_axis(ranks_1d, axis, np.asarray(values, dtype=np.float64))
+    x = np.moveaxis(np.asarray(values, dtype=np.float64), axis, -1)
+    order = np.argsort(x, axis=-1)
+    s = np.take_along_axis(x, order, axis=-1)
+    n = s.shape[-1]
+    tied = s[..., 1:] == s[..., :-1]  # sorted position i + 1 ties position i
+    pos = np.arange(n)
+    first = np.zeros(s.shape, dtype=np.intp)  # each position's tie-run start
+    first[..., 1:] = np.where(tied, 0, pos[1:])
+    np.maximum.accumulate(first, axis=-1, out=first)
+    last = np.full(s.shape, n - 1, dtype=np.intp)  # ... and its run's end
+    last[..., :-1] = np.where(tied, n - 1, pos[:-1])
+    last = np.minimum.accumulate(last[..., ::-1], axis=-1)[..., ::-1]
+    ranks = np.empty_like(s)
+    np.put_along_axis(ranks, order, (first + last) / 2.0 + 1.0, axis=-1)
+    return np.moveaxis(ranks, -1, axis)
 
 
 def _rank_terms(values: np.ndarray):
@@ -355,11 +369,15 @@ def _bootstrap_intervals(
         for row, counts in zip(deltas, dominance.T):
             row[start : start + m] = counts / (n_a * n_b)
     tail = (1.0 - confidence) / 2.0
-    # in place: an interval depends only on order statistics of its deltas
-    return [
-        tuple(float(q) for q in np.quantile(row, [tail, 1.0 - tail], overwrite_input=True))
-        for row in deltas
-    ]
+    qs = np.array([tail, 1.0 - tail])
+    # np.quantile(row, qs) reads each percentile off the two order
+    # statistics around (replicates - 1) * q: partitioned in place at
+    # those, a row holds them where _sorted_quantiles reads them
+    lo = np.floor((replicates - 1) * qs).astype(np.intp)
+    kth = np.minimum(np.concatenate([lo, lo + 1]), replicates - 1)
+    for row in deltas:
+        row.partition(kth)
+    return [tuple(map(float, _sorted_quantiles(row[:, None], qs)[:, 0])) for row in deltas]
 
 
 def _dominance(

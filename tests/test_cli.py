@@ -169,40 +169,51 @@ class TestStartup:
                              capture_output=True, text=True, timeout=120).stdout
         assert out.strip() == "[]"
 
+    @staticmethod
+    def loaded(commands: list, *names: str) -> list:
+        """The modules, among `names` and their submodules, that a fresh
+        interpreter holds after `main` ran each argv of `commands`; every
+        run must exit 0."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        code = ("import json, sys; from spfp.cli import main; "
+                "codes = [main(argv) for argv in json.loads(sys.argv[1])]; "
+                "names = json.loads(sys.argv[2]); "
+                "print(json.dumps(sorted(m for m in sys.modules "
+                "if any(m == n or m.startswith(n + '.') for n in names)))); "
+                "sys.exit(max(codes))")
+        done = subprocess.run(
+            [sys.executable, "-c", code, json.dumps([[str(a) for a in argv] for argv in commands]),
+             json.dumps(names)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        return json.loads(done.stdout.splitlines()[-1])
+
     def test_stats_runs_without_scipy(self, tmp_path):
-        # nor does it load the models of spfp.ensemble
+        # nor does it load the models of spfp.ensemble, nor numpy.ma
         write_matrix_csv(tmp_path / "acc.csv", {
             "ours": [0.9, 0.8, 0.85, 0.7], "base": [0.6, 0.7, 0.5, 0.65],
             "other": [0.6, 0.75, 0.55, 0.6],
         })
         argv = ["stats", "--matrix", f"acc={tmp_path / 'acc.csv'}",
                 "--benchmark", "base", "--bootstrap", "200", "--out", str(tmp_path)]
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=src)
-        code = ("import sys; from spfp.cli import main; rc = main(sys.argv[1:]); "
-                "print(sorted(m for m in sys.modules "
-                "if m.startswith('scipy') or m == 'spfp.ensemble')); "
-                "sys.exit(rc)")
-        done = subprocess.run([sys.executable, "-c", code, *argv], env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.splitlines()[-1] == "[]"
+        assert self.loaded([argv], "scipy", "spfp.ensemble", "numpy.ma") == []
         assert (tmp_path / "verdicts.json").exists()
+
+    @pytest.mark.parametrize("imported", [False, True])
+    def test_evaluate_loads_no_masked_arrays(self, partitioned, imported):
+        # np.unique without return flags and np.quantile would import numpy.ma
+        tmp_path, _ = partitioned
+        argv = ["evaluate", "--out", str(tmp_path)]
+        if imported:
+            argv += ["--import-proba", str(write_imported(tmp_path))]
+        assert self.loaded([argv], "scipy", "numpy.ma") == []
+        assert (tmp_path / "metrics.json").exists()
 
     def test_partition_and_diagnose_import_no_models_or_statistics(self, workdir):
         tmp_path, csv_path = workdir
-        commands = [[str(a) for a in partition_argv(csv_path, tmp_path)],
-                    ["diagnose", "--out", str(tmp_path)]]
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=src)
-        code = ("import json, sys; from spfp.cli import main; "
-                "codes = [main(argv) for argv in json.loads(sys.argv[1])]; "
-                "print(sorted(m for m in sys.modules if m in ('spfp.ensemble', 'spfp.evalstats'))); "
-                "sys.exit(max(codes))")
-        done = subprocess.run([sys.executable, "-c", code, json.dumps(commands)], env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.splitlines()[-1] == "[]"
+        commands = [partition_argv(csv_path, tmp_path), ["diagnose", "--out", str(tmp_path)]]
+        assert self.loaded(commands, "spfp.ensemble", "spfp.evalstats") == []
         assert (tmp_path / "independence.json").exists()
 
 
@@ -662,6 +673,18 @@ def write_proba_csv(path: Path, probs) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def write_imported(tmp_path: Path) -> Path:
+    """Prediction files theta_1, theta_2 and All for the test rows of the
+    views.json in `tmp_path`, in a new directory `imported` there."""
+    n_test = read_json(tmp_path / "views.json")["n_test_rows"]
+    rng = np.random.default_rng(11)
+    pdir = tmp_path / "imported"
+    pdir.mkdir()
+    for name in ("theta_1", "theta_2", "All"):
+        write_proba_csv(pdir / f"{name}.csv", rng.uniform(0.05, 0.95, size=n_test))
+    return pdir
+
+
 def reference_read_proba(path: Path, n_rows: int, n_classes: int) -> np.ndarray:
     """The row-by-row reader `_read_proba_csv` replaced: each row's checks
     in order, the first faulty row raising."""
@@ -765,14 +788,7 @@ class TestImportProba:
     @pytest.fixture()
     def proba_dir(self, partitioned):
         tmp_path, _ = partitioned
-        n_test = read_json(tmp_path / "views.json")["n_test_rows"]
-        rng = np.random.default_rng(11)
-        pdir = tmp_path / "imported"
-        pdir.mkdir()
-        for name in ("theta_1", "theta_2", "All"):
-            write_proba_csv(pdir / f"{name}.csv",
-                            rng.uniform(0.05, 0.95, size=n_test))
-        return tmp_path, pdir, n_test
+        return tmp_path, write_imported(tmp_path), read_json(tmp_path / "views.json")["n_test_rows"]
 
     def test_happy_path_with_benchmark(self, proba_dir, capsys):
         tmp_path, pdir, _ = proba_dir
@@ -1258,8 +1274,8 @@ class TestParseCache:
         _, logs = self.stages(tmp_path)
         assert self.outcomes(logs) == self.ALL_MISS
 
-    READERS = {"features": "evaluate", "target": "evaluate", "codes": "diagnose",
-               "train_target": "diagnose"}
+    READERS = {"features": ("evaluate",), "target": ("evaluate", "evaluate import"),
+               "codes": ("diagnose",), "train_target": ("diagnose",)}
 
     @pytest.mark.parametrize("name", sorted(READERS))
     @pytest.mark.parametrize("edit", [
@@ -1275,8 +1291,7 @@ class TestParseCache:
         capsys.readouterr()
         _, logs = self.stages(tmp_path)
         assert "error" not in capsys.readouterr().err
-        reader = self.READERS[name]
-        expected = {stage: "miss" if stage.startswith(reader) else "hit" for stage in logs}
+        expected = {stage: "miss" if stage in self.READERS[name] else "hit" for stage in logs}
         assert self.outcomes(logs) == expected
 
     def test_int64_codes_of_an_older_cache_are_a_miss(self, partitioned):
@@ -1325,6 +1340,19 @@ class TestParseCache:
         assert main(["diagnose", "--out", str(tmp_path)]) == 0
         log = read_json(tmp_path / "run_log.json")
         assert log["evaluate"]["parse_cache"] == log["diagnose"]["parse_cache"] == "hit"
+
+    def test_import_reads_the_target_alone(self, partitioned):
+        # the split needs only the target, and imported members no features
+        tmp_path, _ = partitioned
+        imp = tmp_path / "import"
+        argv = ["evaluate", "--views-file", str(tmp_path / "views.json"),
+                "--import-proba", str(write_imported(tmp_path)), "--out", str(imp)]
+        assert main(argv) == 0
+        intact = (imp / "metrics.json").read_bytes()
+        (tmp_path / CACHE_DIR / "features.npy").unlink()
+        assert main(argv) == 0
+        assert read_json(imp / "run_log.json")["evaluate"]["parse_cache"] == "hit"
+        assert (imp / "metrics.json").read_bytes() == intact
 
     def test_partition_clears_the_cache(self, partitioned):
         # files an earlier version or anything else left there are gone
@@ -1528,6 +1556,20 @@ class TestStatsCommand:
         argv = ["stats", "--matrix", f"acc={tmp_path / 'acc.csv'}",
                 "--benchmark", "quux", "--out", str(tmp_path)]
         assert main(argv) == 2
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_names_file_row_and_model(self, matrices, capsys, cell):
+        tmp_path = matrices
+        lines = (tmp_path / "loss.csv").read_text(encoding="utf-8").splitlines()
+        fields = lines[3].split(",")
+        fields[1] = cell  # run row 3, model "other"
+        lines[3] = ",".join(fields)
+        (tmp_path / "loss.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(self.stats_argv(tmp_path)) == 3
+        err = capsys.readouterr().err
+        assert err == (f"error: {tmp_path / 'loss.csv'}: run matrix has a non-finite cell "
+                       "in run row 3, model 'other'\n")
+        assert not (tmp_path / "verdicts.json").exists()
 
     def test_header_only_matrix_exits_3(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

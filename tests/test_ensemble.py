@@ -363,10 +363,16 @@ class TestTrainBuiltin:
         p_true = np.clip(proba[np.arange(60), y], 1e-15, 1 - 1e-15)
         assert_allclose(model.final_loss, float(-np.log2(p_true).mean()), atol=1e-12)
 
-    def test_single_class_rejected(self):
+    @pytest.mark.parametrize("n_classes", [None, 3])
+    def test_single_class_rejected(self, n_classes):
         X = np.random.default_rng(6).normal(size=(10, 2))
         with pytest.raises(DataError, match="single class"):
-            train_builtin(X, np.zeros(10, dtype=np.intp))
+            train_builtin(X, np.full(10, 1, dtype=np.intp), n_classes=n_classes)
+
+    @pytest.mark.parametrize("n_classes", [None, 2])
+    def test_empty_training_set_rejected(self, n_classes):
+        with pytest.raises(DataError, match="training set is empty"):
+            train_builtin(np.zeros((0, 3)), np.zeros(0, dtype=np.intp), n_classes=n_classes)
 
     @pytest.mark.parametrize("values", [(1e308, 1e308), (1e308, -1e308), (1e308, 5e307)])
     def test_overflowing_column_is_named(self, values):

@@ -60,6 +60,12 @@ class TestRunMatrix:
         with pytest.raises(DataError):
             RunMatrix(values, names)
 
+    def test_non_finite_cell_is_located(self):
+        values = np.ones((4, 3))
+        values[2, 1] = np.inf
+        with pytest.raises(DataError, match=r"non-finite cell in run row 3, model 'b'$"):
+            RunMatrix(values, ["a", "b", "c"])
+
 
 class TestSurvivalFunctionAccuracy:
     """Closed-form checks of the survival functions used for p-values."""
@@ -131,6 +137,33 @@ class TestMidranks:
     def test_single_value_and_all_tied(self):
         assert midranks([5.0]).tolist() == [1.0]
         assert midranks([[2.0, 2.0, 2.0]], axis=1).tolist() == [[2.0, 2.0, 2.0]]
+
+    @staticmethod
+    def unique_ranks(values, axis):
+        """The midranks of every slice along `axis` from np.unique's tie runs."""
+
+        def ranks_1d(x):
+            _, inverse, counts = np.unique(x, return_inverse=True, return_counts=True)
+            return (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
+
+        return np.apply_along_axis(ranks_1d, axis, np.asarray(values, dtype=np.float64))
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("axis", [0, 1, -1])
+    def test_equal_unique_reference_bitwise(self, seed, axis):
+        rng = np.random.default_rng(seed)
+        values = rng.integers(-3, 4, size=(11, 8)).astype(float)  # tie-heavy
+        values[2] = 1.5  # an all-tied row
+        values[:, 5] = -0.0
+        values[::2, 5] = 0.0  # -0.0 ties 0.0
+        got = midranks(values, axis=axis)
+        expected = self.unique_ranks(values, axis)
+        assert got.shape == values.shape
+        assert got.tobytes() == np.ascontiguousarray(expected).tobytes()
+        column = values[:, :1]  # a single column
+        assert midranks(column, axis=axis).tobytes() == self.unique_ranks(column, axis).tobytes()
+        row = values[seed]
+        assert midranks(row).tobytes() == self.unique_ranks(row, 0).tobytes()
 
 
 class TestFriedman:
@@ -397,13 +430,16 @@ class TestBootstrapCi:
         with pytest.raises(DataError, match="finite"):
             bootstrap_ci([1.0, bad], [1.0, 2.0])
 
-    def test_equals_per_replicate_oracle(self):
+    # (replicates - 1) * tail: 10.4 at 209 and 0.9, about 10 at 201 and
+    # 0.9, exactly 25 at 101 and 0.5 (an order statistic, no interpolation)
+    @pytest.mark.parametrize("replicates, confidence",
+                             [(3 * BOOTSTRAP_BLOCK + 17, 0.9), (201, 0.9), (101, 0.5)])
+    def test_equals_per_replicate_oracle(self, replicates, confidence):
         """Re-derive the interval from the documented stream contract with
         one cliffs_delta call per replicate."""
         rng = np.random.default_rng(13)
         a = rng.integers(0, 4, size=9).astype(float)  # ties within and across
         b = rng.integers(0, 4, size=14).astype(float)
-        replicates = 3 * BOOTSTRAP_BLOCK + 17
         stream = substream(5, BOOTSTRAP_STREAM)
         deltas = []
         for start in range(0, replicates, BOOTSTRAP_BLOCK):
@@ -411,9 +447,9 @@ class TestBootstrapCi:
             ia = stream.integers(0, a.size, (m, a.size))
             ib = stream.integers(0, b.size, (m, b.size))
             deltas += [cliffs_delta(a[ia[r]], b[ib[r]])[0] for r in range(m)]
-        tail = (1.0 - 0.9) / 2.0
+        tail = (1.0 - confidence) / 2.0
         lo, hi = np.quantile(deltas, [tail, 1.0 - tail])
-        assert bootstrap_ci(a, b, replicates, confidence=0.9, seed=5) == (lo, hi)
+        assert bootstrap_ci(a, b, replicates, confidence=confidence, seed=5) == (lo, hi)
 
     def test_memory_does_not_grow_with_replicates(self):
         rng = np.random.default_rng(14)
