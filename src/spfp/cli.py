@@ -7,13 +7,16 @@ benchmark, `diagnose` checks the pairwise conditional-independence
 assumption, `stats` runs the rank-based comparison over run matrices.
 `partition` and `diagnose` never load `ensemble` or `evalstats`, and
 `stats` never loads `ensemble`. No command loads `numpy.ma`, which numpy
-imports on a call of `np.unique` without return flags or of `np.quantile`,
-so no stage calls either; only a CSV parse under `--missing-policy median`
-loads it, through `np.median`.
+imports on a call of `np.unique` without return flags, `np.quantile` or
+`np.median`, so no stage calls any of them. The parse-cache key is a
+CRC-32, so `diagnose` on a cache hit never maps OpenSSL's libcrypto; every
+other command maps it through `numpy.random`, which imports `secrets`.
 
 `partition` leaves a parse cache beside views.json: the parsed table and
 the training rows' codes, which `evaluate` and `diagnose` read instead of
-the CSV while its key matches. It is not an artifact and is safe to delete.
+the CSV while its key matches: the CRC-32 and byte count of the CSV with
+the config keys the parse depends on. It is not an artifact and is safe to
+delete.
 
 All JSON artifacts are deterministic byte-for-byte under identical inputs
 and seed: wall-clock values never enter them and land in the run_log.json
@@ -25,7 +28,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import json
 import math
 import re
@@ -33,6 +35,7 @@ import shutil
 import sys
 import time
 import warnings
+import zlib
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -186,24 +189,29 @@ def _update_run_log(out: Path, command: str, started: tuple[float, float], entry
 # loading: from the parse cache or the CSV
 
 CACHE_DIR = ".spfp_cache"
-# The config keys the cached values depend on; with the SHA-256 of the CSV
-# and FORMAT_VERSION they are the cache's key.
+# The config keys the cached values depend on; with the CRC-32 and byte count
+# of the CSV and FORMAT_VERSION they are the cache's key. A CRC-32 lets an
+# accidental same-length edit through about once in 2**32 (a SHA-256 about
+# once in 2**256) and catches every burst edit of 32 bits or less; it costs
+# about a third as much as a SHA-256, whose import would map OpenSSL's
+# libcrypto (3.4 MB RSS) into `diagnose`.
 _CACHE_KEYS = ("target", "missing_policy", "test_fraction", "seed", "bins", "discretizer")
 
 
 def _cache_key(rc: RunConfig) -> dict | None:
     """The key of the values parsed from `rc`'s CSV; None if it cannot be read."""
-    digest = hashlib.sha256()
+    crc = n_bytes = 0
     try:
         with open(rc.input, "rb") as fh:
             # 64 KiB reads stay below glibc's 128 KiB mmap threshold: a freed
             # 1 MiB read raised it, and the parse's large buffers then stayed
             # on the heap, 0.5-1.1 MB more peak RSS on the benchmark tables.
             while chunk := fh.read(1 << 16):
-                digest.update(chunk)
+                crc = zlib.crc32(chunk, crc)
+                n_bytes += len(chunk)
     except OSError:
         return None
-    return {"sha256": digest.hexdigest(), "format_version": FORMAT_VERSION,
+    return {"crc32": crc, "n_bytes": n_bytes, "format_version": FORMAT_VERSION,
             **{k: getattr(rc, k) for k in _CACHE_KEYS}}
 
 

@@ -181,7 +181,7 @@ class TestStartup:
                 "names = json.loads(sys.argv[2]); "
                 "print(json.dumps(sorted(m for m in sys.modules "
                 "if any(m == n or m.startswith(n + '.') for n in names)))); "
-                "sys.exit(max(codes))")
+                "sys.exit(max(codes, default=0))")
         done = subprocess.run(
             [sys.executable, "-c", code, json.dumps([[str(a) for a in argv] for argv in commands]),
              json.dumps(names)],
@@ -215,6 +215,26 @@ class TestStartup:
         commands = [partition_argv(csv_path, tmp_path), ["diagnose", "--out", str(tmp_path)]]
         assert self.loaded(commands, "spfp.ensemble", "spfp.evalstats") == []
         assert (tmp_path / "independence.json").exists()
+
+    def test_median_imputation_loads_no_masked_arrays(self, workdir):
+        # np.median would import numpy.ma
+        tmp_path, csv_path = workdir
+        write_missing_cells(csv_path)
+        argv = partition_argv(csv_path, tmp_path, **{"--missing-policy": "median"})
+        assert self.loaded([argv], "numpy.ma") == []
+        assert read_json(tmp_path / "run_log.json")["partition"]["cells_imputed"] == 2
+
+    # `import hashlib` maps OpenSSL's libcrypto, and the parse-cache key is a
+    # CRC-32 so that `diagnose` does without it. No other command is checked:
+    # each draws from numpy.random, which imports secrets, hmac and hashlib.
+    def test_import_loads_no_hashlib(self):
+        assert self.loaded([], "hashlib", "_hashlib") == []
+
+    def test_diagnose_on_a_cache_hit_loads_no_hashlib(self, partitioned):
+        tmp_path, _ = partitioned
+        argv = ["diagnose", "--out", str(tmp_path)]
+        assert self.loaded([argv], "hashlib", "_hashlib") == []
+        assert read_json(tmp_path / "run_log.json")["diagnose"]["parse_cache"] == "hit"
 
 
 class TestPartitionCommand:
@@ -1260,6 +1280,43 @@ class TestParseCache:
         fresh, _ = self.stages(tmp_path)
         assert changed == fresh
         assert changed != cached
+
+    def test_same_length_feature_edit_is_a_miss(self, partitioned):
+        # the key holds the CSV's byte count too, so an edit that keeps it
+        # is caught by the CRC-32 alone
+        tmp_path, csv_path = partitioned
+        data = csv_path.read_bytes()
+        row = data.index(b"\n1,") + 1  # a row whose first feature reads 1
+        csv_path.write_bytes(data[:row] + b"0" + data[row + 1:])
+        views = read_json(tmp_path / "views.json")["views"]
+        changed, logs = self.stages(tmp_path)
+        assert self.outcomes(logs) == self.ALL_MISS
+        assert main(partition_argv(csv_path, tmp_path)) == 0
+        assert read_json(tmp_path / "views.json")["views"] == views
+        fresh, logs = self.stages(tmp_path)
+        assert self.outcomes(logs) == self.ALL_HIT
+        assert changed == fresh
+
+    def test_touched_csv_is_a_hit(self, partitioned):
+        # the key reads the bytes, not the modification time
+        tmp_path, csv_path = partitioned
+        cached, _ = self.stages(tmp_path)
+        stat = csv_path.stat()
+        os.utime(csv_path, ns=(stat.st_atime_ns, stat.st_mtime_ns + 3_600 * 10**9))
+        touched, logs = self.stages(tmp_path)
+        assert self.outcomes(logs) == self.ALL_HIT
+        assert touched == cached
+
+    def test_sha256_key_of_an_older_cache_is_a_miss(self, partitioned):
+        # earlier versions keyed the cache by the SHA-256 of the CSV
+        tmp_path, csv_path = partitioned
+        key_path = tmp_path / CACHE_DIR / "key.json"
+        meta = read_json(key_path)
+        rest = {k: v for k, v in meta["key"].items() if k not in ("crc32", "n_bytes")}
+        meta["key"] = {"sha256": hashlib.sha256(csv_path.read_bytes()).hexdigest(), **rest}
+        key_path.write_text(json.dumps(meta), encoding="utf-8")
+        _, logs = self.stages(tmp_path)
+        assert self.outcomes(logs) == self.ALL_MISS
 
     @pytest.mark.parametrize("key,value", [
         ("missing_policy", "median"), ("test_fraction", 0.25), ("seed", 8), ("bins", 4),

@@ -124,6 +124,30 @@ class TestLoadCsv:
         assert d.n_imputed_cells == 1
         assert_allclose(d.features[1, 0], 3.0)  # median of 1,3,5
 
+    @pytest.mark.parametrize("values", [
+        [5.0], [3.0, 1.0], [4.0, 1.0, 2.0], [2.0, 9.0, 1.0, 7.0],
+        [2.0, 2.0, 1.0, 2.0, 3.0], [1.0, 1.0, 3.0, 3.0],
+        [0.1, 0.2], [1.0 / 3.0, 2.0 / 3.0, 0.7, 0.0],
+        [-0.0], [-0.0, -0.0], [0.0, -0.0], [-0.0, 0.0, -0.0], [0.0, -0.0, 0.0],
+        [-0.0, -0.0, 0.0, 0.0], [-1.0, -0.0, 0.0, 1.0],
+        [-1e308, 1e308], [1.7e308, 1.1e308, 0.0], [1e308, 1.5e308], [-1.5e308, -1e308],
+        [-1.7e308, 1.7e308, 1.6e308, -1e-308],
+    ])
+    def test_median_is_numpys_bit_for_bit(self, values):
+        # two middle values past the float range sum to inf, and numpy
+        # warns as it averages them
+        a = np.array(values)
+        with np.errstate(over="ignore"):
+            expected, got = np.median(a), dataset._median(a)
+        assert got.tobytes() == expected.tobytes()
+        assert a.tolist() == values  # the argument is left unsorted
+
+    def test_median_of_random_columns_is_numpys(self):
+        rng = np.random.default_rng(3)
+        for n in range(1, 60):
+            for a in (rng.normal(size=n), rng.integers(-2, 3, size=n) * 0.5):
+                assert dataset._median(a).tobytes() == np.median(a).tobytes()
+
     def test_unknown_policy(self, tmp_path):
         path = write_csv(tmp_path / "p.csv", ["a,y", "1,u", "2,v"])
         with pytest.raises(ConfigError):
