@@ -69,9 +69,6 @@ FORMAT_VERSION = 7
 EXIT_OK, EXIT_CONFIG, EXIT_DATA, EXIT_INTERNAL = 0, 2, 3, 4
 
 
-_JSON_TYPES = {"str": str, "int": int, "float": (int, float)}  # by RunConfig annotation
-
-
 @dataclass(kw_only=True)
 class RunConfig(SpfpConfig):
     """Everything a run needs, persisted inside every artifact.
@@ -96,18 +93,9 @@ class RunConfig(SpfpConfig):
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
-        for f in fields(cls):
-            value = doc.get(f.name)
-            # a float field takes an int (--min-count writes one); none takes a
-            # bool, nor NaN or infinity, which the artifacts cannot hold
-            if f.name in doc and (
-                type(value) is bool
-                or not isinstance(value, _JSON_TYPES[f.type])
-                or (isinstance(value, float) and not math.isfinite(value))
-            ):
-                kind = "a finite float" if f.type == "float" else f.type
-                raise ConfigError(f"config key {f.name!r} must be {kind}, got {value!r}")
         version = doc.get("format_version", 1)
+        if type(version) is not int:  # the compatibility steps below compare it
+            raise ConfigError(f"config key 'format_version' must be int, got {version!r}")
         require("format_version", version, _KEYS["format_version"].metadata["allowed"])
         if version < 2:
             # Format 1 carried the thread count of a since-removed pool;
@@ -309,6 +297,8 @@ def _read_views_doc(args) -> tuple[dict, RunConfig, Path]:
         raise DataError(f"views file {path} lacks config/views")
     if not isinstance(doc["config"], dict) or not isinstance(doc["views"], list):
         raise DataError(f"views file {path}: config must be an object and views a list")
+    if not doc["views"]:
+        raise DataError(f"views file {path} holds no views")
     rc = RunConfig.from_dict(doc["config"])
     # the file's own format_version, by the config key's rule, must be the config's
     version, config_version = doc.get("format_version"), doc["config"].get("format_version", 1)

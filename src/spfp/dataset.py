@@ -341,11 +341,12 @@ def _raw_codes(x: np.ndarray, bins: int, strategy: str, dtype) -> np.ndarray:
     rest = np.flatnonzero(~passing)
     if strategy == "equal_width":
         for i in rest:
-            lo, hi = s[0, i], s[-1, i]
-            if math.isfinite(float(hi) - float(lo)):
-                edges[:, i] = np.linspace(lo, hi, bins + 1)[1:-1]
-            else:  # the span overflows; halving and doubling are exact
-                edges[:, i] = 2 * np.linspace(lo / 2, hi / 2, bins + 1)[1:-1]
+            # cut between the ends scaled by a power of two into [-1, 1], then
+            # scale back: exact, and no span overflows
+            lo, hi = float(s[0, i]), float(s[-1, i])
+            e = math.frexp(max(-lo, hi))[1]
+            inner = np.linspace(math.ldexp(lo, -e), math.ldexp(hi, -e), bins + 1)[1:-1]
+            edges[:, i] = np.ldexp(inner, e)
     else:
         edges[:, rest] = _sorted_quantiles(s[:, rest], np.arange(1, bins) / bins)
     counts = np.zeros(xc.shape, dtype=dtype)

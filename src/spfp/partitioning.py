@@ -77,6 +77,9 @@ def require(key: str, value, allowed: tuple) -> None:
         raise ConfigError(f"{key} must be {what}, got {value!r}")
 
 
+_JSON_TYPES = {"str": str, "int": int, "float": (int, float)}  # by field annotation
+
+
 def config_key(default, *allowed):
     """A config field: its default and its allowed values, checked on construction."""
     return field(default=default, metadata={"allowed": allowed})
@@ -90,8 +93,9 @@ class SpfpConfig:
     a whole count otherwise. `relevance_correlation` picks how the
     Pearson term treats a multi-class target: ``codes`` correlates against
     the integer class codes, ``max_ovr`` takes the maximum over one-vs-rest
-    class indicators. Every field declared with `config_key` is checked against
-    its allowed values on construction, a subclass's fields too.
+    class indicators. Every field, a subclass's too, is checked on
+    construction: its type against its annotation, then, if declared with
+    `config_key`, its value against the allowed ones.
     """
 
     n_views: int = config_key(5, Range(1))
@@ -105,8 +109,18 @@ class SpfpConfig:
 
     def __post_init__(self) -> None:
         for f in fields(self):
+            value = getattr(self, f.name)
+            # a float field takes an int (--min-count writes one); none takes a
+            # bool, nor NaN or infinity, which the artifacts cannot hold
+            if (
+                type(value) is bool
+                or not isinstance(value, _JSON_TYPES[f.type])
+                or (isinstance(value, float) and not math.isfinite(value))
+            ):
+                kind = "a finite float" if f.type == "float" else f.type
+                raise ConfigError(f"config key {f.name!r} must be {kind}, got {value!r}")
             if "allowed" in f.metadata:
-                require(f.name, getattr(self, f.name), f.metadata["allowed"])
+                require(f.name, value, f.metadata["allowed"])
 
     def resolve_min_features(self, n_features: int) -> int:
         if 0 < self.min_features < 1:
@@ -177,36 +191,28 @@ class PoolDepletedError(DataError):
 def relevance_vector(
     features: np.ndarray, target: np.ndarray, n_classes: int, mode: str = "codes"
 ) -> np.ndarray:
-    """|Pearson r| of every raw feature column against the encoded target."""
+    """|Pearson r| of every raw feature column against the encoded target;
+    0 for a constant column.
+
+    Each column is first scaled by 2^-e, e the binary exponent of its
+    largest magnitude, clipped so the factor stays a normal double. That is
+    exact and |r| is scale-free, so no sum, square or norm overflows or
+    underflows, and an ordinary column keeps the bits of unscaled arithmetic.
+    """
     if mode == "codes":
         ys = [target.astype(np.float64)]
     else:  # "max_ovr"
         ys = [(target == c).astype(np.float64) for c in range(n_classes)]
-    with np.errstate(over="ignore", invalid="ignore"):
-        mean = features.mean(axis=0)
-    xc = features - mean
-    for j in np.flatnonzero(~np.isfinite(mean)):
-        # the column sum overflowed: centre the column scaled to |x| <= 1,
-        # which leaves |r| as it is
-        col = features[:, j] / np.abs(features[:, j]).max()
-        xc[:, j] = col - col.mean()
+    peak = np.maximum(features.max(axis=0), -features.min(axis=0))
+    xc = features * np.ldexp(1.0, -np.maximum(np.frexp(peak)[1], -1021))
+    xc -= xc.mean(axis=0)
     ycs = [y - y.mean() for y in ys]
     dots = [xc.T @ yc for yc in ycs]
-    with np.errstate(over="ignore"):
-        xnorm = np.sqrt(np.square(xc, out=xc).sum(axis=0))  # xc is spent
-    for j in np.flatnonzero(~np.isfinite(xnorm)):
-        # the squares overflowed: take the norm of the column scaled to
-        # |xc| <= 1, then scale back
-        col = features[:, j] - mean[j]
-        scale = np.abs(col).max()
-        xnorm[j] = math.sqrt(float(np.square(col / scale).sum())) * scale
+    xnorm = np.sqrt(np.square(xc, out=xc).sum(axis=0))  # xc is spent
     best = np.zeros(features.shape[1])
     for yc, dot in zip(ycs, dots):
-        ynorm = math.sqrt(float((yc * yc).sum()))
-        denom = xnorm * ynorm
-        with np.errstate(invalid="ignore", divide="ignore"):
-            r = np.abs(dot) / denom
-        r[denom == 0.0] = 0.0
+        denom = xnorm * math.sqrt(float((yc * yc).sum()))
+        r = np.divide(np.abs(dot), denom, out=np.zeros_like(denom), where=denom > 0)
         best = np.maximum(best, np.minimum(r, 1.0))
     return best
 

@@ -139,6 +139,10 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match=re.escape(message)):
             RunConfig(input="a.csv", target="y", **{key: value})
 
+    def test_constructor_checks_string_types(self):
+        with pytest.raises(ConfigError, match="config key 'input' must be str, got 3"):
+            RunConfig(input=3, target="y")
+
     def test_float_field_takes_an_int(self):
         rc = RunConfig.from_dict({"input": "a.csv", "target": "y", "min_features": 3})
         assert rc.min_features == 3
@@ -1068,6 +1072,19 @@ class TestViewsFileIndices:
         err = capsys.readouterr().err
         assert message in err
         assert "internal error" not in err
+
+    @pytest.mark.parametrize("command", ["evaluate", "diagnose"])
+    def test_empty_views_list_exits_3(self, partitioned, capsys, command):
+        # evaluate used to write metrics for All alone, and diagnose to exit 2
+        tmp_path, _ = partitioned
+        views_path = tmp_path / "views.json"
+        doc = read_json(views_path)
+        doc["views"] = []
+        views_path.write_text(json.dumps(doc), encoding="utf-8")
+        before = sorted(tmp_path.iterdir())
+        assert main([command, "--out", str(tmp_path)]) == 3
+        assert f"views file {views_path} holds no views" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == before
 
     @pytest.mark.parametrize("command", ["evaluate", "diagnose"])
     @pytest.mark.parametrize("key,value,message", [

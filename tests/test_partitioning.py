@@ -7,6 +7,7 @@ cache that the production path uses.
 """
 
 import math
+import re
 import tracemalloc
 import warnings
 from collections import Counter
@@ -121,6 +122,17 @@ class TestSpfpConfig:
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ConfigError):
             SpfpConfig(**kwargs)
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("bins", 10.5, "config key 'bins' must be int, got 10.5"),
+        ("n_views", 2.5, "config key 'n_views' must be int, got 2.5"),
+        ("n_views", True, "config key 'n_views' must be int, got True"),
+        ("bins", math.inf, "config key 'bins' must be int, got inf"),
+        ("seed", 1.5, "config key 'seed' must be int, got 1.5"),  # once run as seed 1
+    ])
+    def test_rejects_wrong_value_types(self, key, value, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            SpfpConfig(**{key: value})
 
     def test_resolve_min_features(self):
         assert SpfpConfig(min_features=0.1).resolve_min_features(170) == 17
@@ -451,6 +463,44 @@ class TestRelevance:
             r = relevance_vector(features, y, 3, mode)
         assert_allclose(r[0], r[1], rtol=0, atol=1e-12)
         assert r[1] > 0.5
+
+    @pytest.mark.parametrize("scale", [1e-170, 1e-300, 1e-310],
+                             ids=["1e-170", "1e-300", "subnormal_only"])
+    def test_tiny_columns_keep_the_correlation(self, scale):
+        # the squares of x * 1e-170 used to underflow to 0, which scored 0
+        rng = np.random.default_rng(47)
+        y = rng.integers(0, 3, size=200)
+        x = y + rng.normal(size=200)
+        features = np.column_stack([x, x * scale])
+        if scale == 1e-310:
+            assert (np.abs(features[:, 1]) < np.finfo(np.float64).tiny).all()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = relevance_vector(features, y, 3)
+        assert_allclose(r[1], r[0], rtol=0, atol=1e-12)
+        assert r[0] > 0.5
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.floats(0.0, 1.0))
+    def test_power_of_two_scaling_changes_no_bit(self, seed, place):
+        # every k that keeps the cells normal and finite: each column is
+        # scaled by its own power of two before any sum, and the equal-width
+        # cuts are taken between its ends scaled the same way
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(40, 4)) * 10.0 ** rng.uniform(-140, 140, size=4)
+        y = rng.integers(0, 3, size=40)
+        exponents = np.frexp(X)[1]
+        k_min, k_max = -1021 - int(exponents.min()), 1024 - int(exponents.max())
+        k = k_min + round(place * (k_max - k_min))
+        scaled = np.ldexp(X, k)
+        assert (np.abs(scaled) >= np.finfo(np.float64).tiny).all() and np.isfinite(scaled).all()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for mode in ("codes", "max_ovr"):
+                expected = relevance_vector(X, y, 3, mode)
+                assert relevance_vector(scaled, y, 3, mode).tobytes() == expected.tobytes()
+            codes = [discretize(make_dataset(F, y), 10, "equal_width") for F in (X, scaled)]
+        np.testing.assert_array_equal(codes[1], codes[0])
 
 
 class TestNonFiniteFeature:

@@ -9,8 +9,11 @@ DIR/<workload>/inputs by `bench/workloads.generate`, and `partition`,
 `evaluate`, `evaluate --import-proba` (where the workload has prediction
 files), `diagnose` and `stats` run in that order, each in its own
 interpreter with PYTHONPATH=SRC, into fixed directories under
-DIR/<workload>. The config inside each artifact holds these paths, so two
-trees compare only when run with the same DIR:
+DIR/<workload>. Then `partition --discretizer equal_width --relevance
+max_ovr` and `diagnose` run into DIR/<workload>/variant, so the listing
+also covers the equal-width cuts and the one-vs-rest relevance, which the
+benchmark never runs. The config inside each artifact holds these paths,
+so two trees compare only when run with the same DIR:
 
     python tools/artifact_hashes.py --src old/src --work /tmp/hashes > old.txt
     python tools/artifact_hashes.py --src src --work /tmp/hashes > new.txt
@@ -33,12 +36,12 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-OUTPUTS = ("out", "import", "stats", "logs")  # the directories the commands fill
+OUTPUTS = ("out", "import", "stats", "variant", "logs")  # the directories the commands fill
 
 
 def commands(inp, work: Path) -> list[tuple[str, list[str]]]:
     """Each command's name and arguments for the inputs `inp` of one workload."""
-    out, imported, stats = (str(work / d) for d in ("out", "import", "stats"))
+    out, imported, stats, variant = (str(work / d) for d in ("out", "import", "stats", "variant"))
     plan = [
         ("partition", ["partition", *inp.partition_args, "--out", out]),
         ("evaluate", ["evaluate", "--out", out]),
@@ -46,6 +49,9 @@ def commands(inp, work: Path) -> list[tuple[str, list[str]]]:
                     "--import-proba", str(inp.proba_dir), "--out", imported]),
         ("diagnose", ["diagnose", "--out", out]),
         ("stats", ["stats", *inp.stats_args, "--out", stats]),
+        ("variant_partition", ["partition", *inp.partition_args, "--discretizer", "equal_width",
+                               "--relevance", "max_ovr", "--out", variant]),
+        ("variant_diagnose", ["diagnose", "--out", variant]),
     ]
     return [(op, argv) for op, argv in plan if op != "import" or inp.probas]
 
