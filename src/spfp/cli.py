@@ -706,8 +706,9 @@ def cmd_stats(args) -> int:
         started,
         {
             "comparisons": sum(len(verdicts) for verdicts in table.values()),
-            # the models of a metric share its one draw of bootstrap blocks
-            "bootstrap_blocks_drawn": len(table) * math.ceil(args.bootstrap / BOOTSTRAP_BLOCK),
+            # the metrics of one run count share one draw of bootstrap blocks
+            "bootstrap_blocks_drawn": len({len(m.values) for m in matrices.values()})
+            * math.ceil(args.bootstrap / BOOTSTRAP_BLOCK),
         },
     )
 

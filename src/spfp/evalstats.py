@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -89,14 +89,9 @@ class ComparisonVerdict:
     friedman: tuple[float, float]
 
     def to_dict(self) -> dict:
-        return {
-            "outcome": self.outcome,
-            "delta": self.delta,
-            "magnitude": self.magnitude,
-            "ci": list(self.ci),
-            "p_friedman_adj": self.p_friedman_adj,
-            "p_conover_adj": self.p_conover_adj,
-        }
+        out = asdict(self) | {"ci": list(self.ci)}
+        del out["friedman"]
+        return out
 
 
 def midranks(values, axis: int = -1) -> np.ndarray:
@@ -323,88 +318,81 @@ def bootstrap_ci(
 ) -> tuple[float, float]:
     """Percentile bootstrap interval for cliffs_delta(a, b).
 
-    Stream contract: every call opens ``substream(seed, BOOTSTRAP_STREAM)``
-    afresh, so the result is deterministic under `seed` and independent of
-    evaluation order. Replicates are drawn in blocks of BOOTSTRAP_BLOCK
-    (the last block holds the remainder); for a block of m replicates the
-    resample indices of a are drawn first as ``integers(0, a.size,
-    (m, a.size))``, then those of b as ``integers(0, b.size, (m, b.size))``.
-    Row r of the two draws is replicate r, and its delta equals
-    ``cliffs_delta(a[ia[r]], b[ib[r]])`` bit for bit: its numerator, the
-    exact (greater - less) count, comes from running counts over sorted b
-    in O(a.size + b.size) per replicate. `win_tie_loss` scores all models
-    of a metric from one such draw, which gives each the interval of its
-    own call.
+    Stream contract: each call opens ``substream(seed, BOOTSTRAP_STREAM)``
+    afresh and draws blocks of BOOTSTRAP_BLOCK replicates, the last holding
+    the remainder. A block of m draws a's resample indices as ``integers(0,
+    a.size, (m, a.size))``, then b's as ``integers(0, b.size, (m, b.size))``;
+    row r of each is replicate r, whose delta equals ``cliffs_delta(a[ia[r]],
+    b[ib[r]])`` bit for bit. `win_tie_loss` draws once per run count, for
+    its metrics; each interval still equals its own call's.
     """
-    a = np.asarray(a, dtype=np.float64).ravel()
-    return _bootstrap_intervals(a[None, :], b, replicates, confidence, seed)[0]
+    a, b = (np.asarray(v, dtype=np.float64).ravel() for v in (a, b))
+    return _bootstrap_intervals({0: (a[None, :], b)}, replicates, confidence, seed)[0][0]
 
 
-def _bootstrap_intervals(
-    samples: np.ndarray, b, replicates: int, confidence: float, seed: int
-) -> list[tuple[float, float]]:
-    """bootstrap_ci(row, b, ...) for every row of `samples`: the rows have
-    one size, so they share the stream contract's one draw."""
+def _bootstrap_intervals(pairs: dict, replicates: int, confidence: float, seed: int) -> dict:
+    """{key: [bootstrap_ci(row, b, ...) for row in samples]} for each key:
+    (samples, b), all rows of one size and all b of another, from one draw.
+
+    With running[t] a replicate's draws among the t smallest of b, a value
+    beats the running[below] draws under it and loses to the n_b -
+    running[not_above] above it: sum_i wa_i (running[below_i] +
+    running[not_above_i]) - n_a n_b is the exact (greater - less) count.
+    """
     if replicates < 100:
         raise ConfigError("replicates must be >= 100")
     if not 0.0 < confidence < 1.0:
         raise ConfigError("confidence must be in (0,1)")
-    b = np.asarray(b, dtype=np.float64).ravel()
-    n_a, n_b = samples.shape[1], b.size
+    samples, bs = zip(*pairs.values())
+    samples, bs = np.concatenate(samples), np.array(bs)
+    (k, n_a), n_b = samples.shape, bs.shape[1]
     if n_a == 0 or n_b == 0:
         raise DataError("bootstrap_ci requires non-empty samples")
-    if not (np.isfinite(samples).all() and np.isfinite(b).all()):
+    if not (np.isfinite(samples).all() and np.isfinite(bs).all()):
         raise DataError("bootstrap_ci requires finite samples")
-    order = np.argsort(b)
-    b_sorted = b[order]
-    below = np.searchsorted(b_sorted, samples, side="left")
-    not_above = np.searchsorted(b_sorted, samples, side="right")
+    orders = np.argsort(bs, axis=1)
+    below, not_above = (np.concatenate([
+        np.searchsorted(b, s, side) + p * (n_b + 1)  # pair p's part of the table
+        for p, ((s, _), b) in enumerate(zip(pairs.values(), np.sort(bs, axis=1)))
+    ]) for side in ("left", "right"))
+    n_ab = n_a * n_b
+    # the narrowest types holding each gathered sum (0..2 n_ab) and count
+    dtype = np.min_scalar_type(-2 * n_ab - 1)
+    counts = np.empty((k, replicates), np.min_scalar_type(-n_ab - 1))
+    group = max(1, 2**16 // (n_a * BOOTSTRAP_BLOCK * dtype.itemsize))  # rows per gather
     rng = substream(seed, BOOTSTRAP_STREAM)
-    deltas = [np.empty(replicates) for _ in samples]  # no k x replicates block
     for start in range(0, replicates, BOOTSTRAP_BLOCK):
         m = min(BOOTSTRAP_BLOCK, replicates - start)
-        wa = _resample_counts(rng.integers(0, n_a, (m, n_a)))
-        wb = _resample_counts(rng.integers(0, n_b, (m, n_b)))
-        dominance = _dominance(wa, wb[:, order], below, not_above)
-        for row, counts in zip(deltas, dominance.T):
-            row[start : start + m] = counts / (n_a * n_b)
+        wa = _resample_counts(rng.integers(0, n_a, (m, n_a))).astype(dtype)
+        wb = _resample_counts(rng.integers(0, n_b, (m, n_b))).astype(dtype)
+        running = np.zeros((len(pairs), n_b + 1, m), dtype)
+        np.cumsum(wb[orders], axis=1, dtype=dtype, out=running[:, 1:])
+        running = running.reshape(-1, m)
+        for rows in (slice(i, i + group) for i in range(0, k, group)):
+            gathered = np.take(running, below[rows], axis=0)
+            gathered += np.take(running, not_above[rows], axis=0)
+            gathered *= wa
+            counts[rows, start : start + m] = gathered.sum(axis=1, dtype=dtype) - n_ab
     tail = (1.0 - confidence) / 2.0
     qs = np.array([tail, 1.0 - tail])
-    # np.quantile(row, qs) reads each percentile off the two order
-    # statistics around (replicates - 1) * q: partitioned in place at
-    # those, a row holds them where _sorted_quantiles reads them
+    # np.quantile(row, qs) reads each percentile off the two order statistics
+    # around (replicates - 1) * q, where a row partitioned at them holds them
     lo = np.floor((replicates - 1) * qs).astype(np.intp)
     kth = np.minimum(np.concatenate([lo, lo + 1]), replicates - 1)
-    for row in deltas:
+    intervals = []
+    for row in counts:
         row.partition(kth)
-    return [tuple(map(float, _sorted_quantiles(row[:, None], qs)[:, 0])) for row in deltas]
-
-
-def _dominance(
-    wa: np.ndarray, wb_sorted: np.ndarray, below: np.ndarray, not_above: np.ndarray
-) -> np.ndarray:
-    """(m, k) int64: sum over i, j of wa[r, i] sign(a_si - b_j) wb[r, j],
-    the exact (greater - less) count of replicate r for sample s.
-
-    wa and wb_sorted are resample counts, rows summing to n_a and n_b, with
-    wb_sorted's columns in ascending order of b; below[s, i] and
-    not_above[s, i] count the values of b under and not above a_si. With
-    running[r, t] the draws among the t smallest values of b, a_si beats
-    running[r, below] draws and loses to n_b - running[r, not_above].
-    """
-    m, n_b = wb_sorted.shape
-    running = np.zeros((m, n_b + 1), dtype=np.int64)
-    np.cumsum(wb_sorted, axis=1, out=running[:, 1:])
-    weighted = (running[:, below] + running[:, not_above]) * wa[:, None, :]
-    return weighted.sum(axis=2) - wa.shape[1] * n_b
+        intervals.append(tuple(map(float, _sorted_quantiles(row[:, None] / n_ab, qs)[:, 0])))
+    intervals = iter(intervals)
+    return {key: [next(intervals) for _ in s] for key, (s, _) in pairs.items()}
 
 
 def _resample_counts(indices: np.ndarray) -> np.ndarray:
     """How often each of n items occurs in each row of an (m, n) index
-    draw, as an (m, n) count matrix from one bincount."""
+    draw, as an (n, m) count matrix from one bincount."""
     m, n = indices.shape
-    keys = indices + n * np.arange(m)[:, None]
-    return np.bincount(keys.ravel(), minlength=m * n).reshape(m, n)
+    keys = indices * m + np.arange(m)[:, None]
+    return np.bincount(keys.ravel(), minlength=n * m).reshape(n, m)
 
 
 def win_tie_loss(
@@ -436,6 +424,16 @@ def win_tie_loss(
     friedman_raw = [friedman(matrices[name]) for name in metric_names]
     friedman_adj = adjust([p for _, p in friedman_raw], "bonferroni")
 
+    by_runs = {}  # run count -> metric -> (models, benchmark)
+    for name, m in matrices.items():
+        sign = 1.0 if m.higher_is_better else -1.0
+        col = m.treatment_names.index(benchmark)
+        by_runs.setdefault(len(m.values), {})[name] = (
+            sign * np.delete(m.values, col, axis=1).T, sign * m.values[:, col])
+    cis = {}  # the metrics of one run count share one bootstrap draw
+    for pairs in by_runs.values():
+        cis.update(_bootstrap_intervals(pairs, replicates, confidence, seed))
+
     table: dict[str, dict[str, ComparisonVerdict]] = {}
     for name, fr, p_fr in zip(metric_names, friedman_raw, friedman_adj):
         m = matrices[name]
@@ -443,20 +441,13 @@ def win_tie_loss(
         others = [i for i in range(len(m.treatment_names)) if i != bench_col]
         conover = conover_posthoc(m)
         p_cn_adj = adjust([conover[i, bench_col] for i in others], "benjamini_hochberg")
-
-        sign = 1.0 if m.higher_is_better else -1.0
-        bench_vals = sign * m.values[:, bench_col]
-        model_vals = sign * m.values[:, others].T
-        cis = _bootstrap_intervals(model_vals, bench_vals, replicates, confidence, seed)
+        model_vals, bench_vals = by_runs[len(m.values)][name]
         row: dict[str, ComparisonVerdict] = {}
-        for i, p_cn, vals, ci in zip(others, p_cn_adj, model_vals, cis):
+        for i, p_cn, vals, ci in zip(others, p_cn_adj, model_vals, cis[name]):
             delta, magnitude = cliffs_delta(vals, bench_vals)
-            if p_fr < alpha and p_cn < alpha and delta > 0.0:
-                outcome = "win"
-            elif p_fr < alpha and p_cn < alpha and delta < 0.0:
-                outcome = "loss"
-            else:
-                outcome = "tie"
+            outcome = "tie"
+            if p_fr < alpha and p_cn < alpha and delta != 0.0:
+                outcome = "win" if delta > 0.0 else "loss"
             row[m.treatment_names[i]] = ComparisonVerdict(
                 outcome=outcome,
                 delta=delta,

@@ -10,9 +10,9 @@ Reserved purpose codes:
 * ``REMOVAL_STREAM``  -- per-view feature removal; index = 0-based view number
 * ``HOLDOUT_STREAM``  -- validation holdout used for ensemble weights
 * ``BOOTSTRAP_STREAM``-- bootstrap resampling; no index: each bootstrap_ci
-  call, and each metric of win_tie_loss (whose models share the draw),
-  draws every replicate from this one stream, in blocks of
-  ``evalstats.BOOTSTRAP_BLOCK`` (see ``evalstats.bootstrap_ci``)
+  call, and each run count of win_tie_loss (its metrics share the draw,
+  each interval that of its own call), draws every replicate from
+  this stream in blocks of ``evalstats.BOOTSTRAP_BLOCK``
 """
 
 from __future__ import annotations

@@ -1516,7 +1516,8 @@ class TestStatsCommand:
 
         log = read_json(tmp_path / "run_log.json")["stats"]
         assert log["comparisons"] == 4  # 2 metrics x 2 models
-        assert log["bootstrap_blocks_drawn"] == 2 * 4  # 200 replicates: 3 x 64 + 8
+        # one run count, so one draw of 200 replicates: 3 x 64 + 8
+        assert log["bootstrap_blocks_drawn"] == 4
 
     def test_friedman_runs_once_per_metric(self, matrices, monkeypatch):
         tmp_path = matrices

@@ -17,6 +17,7 @@ from scipy.special import chdtrc, stdtr
 from scipy.stats import friedmanchisquare, rankdata
 from scipy.stats import t as student_t
 
+from spfp import evalstats
 from spfp.errors import ConfigError, DataError
 from spfp.evalstats import (
     BOOTSTRAP_BLOCK,
@@ -29,7 +30,7 @@ from spfp.evalstats import (
     midranks,
     win_tie_loss,
 )
-from spfp.evalstats import _chi2_sf, _dominance, _magnitude, _resample_counts, _t_sf
+from spfp.evalstats import _bootstrap_intervals, _chi2_sf, _magnitude, _t_sf
 from spfp.seeding import BOOTSTRAP_STREAM, substream
 
 
@@ -451,6 +452,16 @@ class TestBootstrapCi:
         lo, hi = np.quantile(deltas, [tail, 1.0 - tail])
         assert bootstrap_ci(a, b, replicates, confidence=confidence, seed=5) == (lo, hi)
 
+    # n_a * n_b, the largest count, and 2 * n_a * n_b, the largest gathered
+    # sum, on both sides of the int8 and int16 limits: the kernel keeps both
+    # in the narrowest signed type that holds them
+    @pytest.mark.parametrize("n_a, n_b", [(7, 9), (8, 8), (1, 127), (1, 128), (8, 16),
+                                          (43, 381), (128, 128), (7, 4681), (128, 256)])
+    def test_complete_dominance_at_integer_type_limits(self, n_a, n_b):
+        a, b = np.arange(n_a) + 1e6, np.arange(n_b, dtype=np.float64)
+        assert bootstrap_ci(a, b, replicates=100) == (1.0, 1.0)
+        assert bootstrap_ci(b, a, replicates=100) == (-1.0, -1.0)
+
     def test_memory_does_not_grow_with_replicates(self):
         rng = np.random.default_rng(14)
         a, b = rng.normal(size=200), rng.normal(size=200)
@@ -468,40 +479,54 @@ class TestBootstrapCi:
 
 
 class TestDominanceKernel:
-    """The running-count kernel against the sign-matrix form it replaced,
+    """The shared-draw running-count kernel against the sign-matrix form,
     ``einsum("ri,ij,rj->r", wa, sign(a_i - b_j), wb)``, and against
-    cliffs_delta on each replicate's resampled values."""
+    cliffs_delta on each replicate's resampled values. A sweep of
+    confidences makes the intervals read every order statistic of the
+    replicate deltas."""
 
-    @pytest.mark.parametrize("samples,b", [
-        ([[0, 1, 1, 2, 3, 3, 3, 2, 0]], [1, 1, 0, 3, 3, 2, 4, 1, 1, 2, 0, 3]),  # ties
-        ([[0, 1, 2, 2, 3, 1, 1], [3, 3, 0, 1, 2, 2, 0]], [2] * 3 + [1] * 7 + [0] * 30),
-        ([[1.5]], [0.5, 1.5, 2.5, 1.5]),  # n = 1 on the sample side
-        ([[0.5, 1.5, 2.5, 1.5], [1, 2, 3, 4]], [1.5]),  # n = 1 on the benchmark side
-        ([[7.0] * 5, [6.0] * 5, [8.0] * 5], [7.0] * 6),  # constant samples
-        ([np.linspace(-1, 1, 12)], np.linspace(-0.5, 1.5, 12)),  # no ties
+    REPLICATES = BOOTSTRAP_BLOCK + 37  # one full block and a remainder
+
+    @pytest.mark.parametrize("pairs", [
+        [([[0, 1, 1, 2, 3, 3, 3, 2, 0]], [1, 1, 0, 3, 3, 2, 4, 1, 1, 2, 0, 3])],  # ties
+        [([[0, 1, 2, 2, 3, 1, 1], [3, 3, 0, 1, 2, 2, 0]], [2] * 3 + [1] * 7 + [0] * 30)],
+        [([[1.5]], [0.5, 1.5, 2.5, 1.5])],  # n = 1 on the sample side
+        [([[0.5, 1.5, 2.5, 1.5], [1, 2, 3, 4]], [1.5])],  # n = 1 on the benchmark side
+        [([[7.0] * 5, [6.0] * 5, [8.0] * 5], [7.0] * 6)],  # constant samples
+        [([np.linspace(-1, 1, 12)], np.linspace(-0.5, 1.5, 12))],  # no ties
+        # two pairs whose benchmark samples differ, each row scored against its own
+        [([[0, 1, 2, 2, 3, 1], [3, 3, 0, 1, 2, 2]], [2, 0, 1, 3, 1, 2, 0]),
+         ([[5, 4, 4, 6, 5, 7]], [6, 6, 4, 5.5, 5, 7, 3])],
     ])
-    def test_equals_sign_matrix_and_cliffs_delta(self, samples, b):
-        samples = np.asarray(samples, dtype=np.float64)
-        b = np.asarray(b, dtype=np.float64)
-        (k, n_a), n_b = samples.shape, b.size
-        order = np.argsort(b)
-        below = np.searchsorted(b[order], samples, side="left")
-        not_above = np.searchsorted(b[order], samples, side="right")
+    def test_equals_sign_matrix_and_cliffs_delta(self, pairs):
+        pairs = {p: (np.asarray(s, dtype=np.float64), np.asarray(b, dtype=np.float64))
+                 for p, (s, b) in enumerate(pairs)}
+        n_a, n_b = pairs[0][0].shape[1], pairs[0][1].size
+        replicates = self.REPLICATES
         stream = substream(3, BOOTSTRAP_STREAM)
-        ia = stream.integers(0, n_a, (BOOTSTRAP_BLOCK, n_a))
-        ib = stream.integers(0, n_b, (BOOTSTRAP_BLOCK, n_b))
-        wa, wb = _resample_counts(ia), _resample_counts(ib)
-        assert (wa.sum(axis=1) == n_a).all() and (wb.sum(axis=1) == n_b).all()
-        dominance = _dominance(wa, wb[:, order], below, not_above)
-        assert dominance.shape == (BOOTSTRAP_BLOCK, k)
-        assert dominance.dtype == np.int64
-        for s, a in enumerate(samples):
-            signs = np.sign(a[:, None] - b[None, :]).astype(np.int64)
-            einsum = np.einsum("ri,ij,rj->r", wa, signs, wb)
-            assert dominance[:, s].tolist() == einsum.tolist()
-            for r in range(BOOTSTRAP_BLOCK):
-                delta = cliffs_delta(a[ia[r]], b[ib[r]])[0]
-                assert dominance[r, s] / (n_a * n_b) == delta
+        ia, ib = [], []
+        for start in range(0, replicates, BOOTSTRAP_BLOCK):
+            m = min(BOOTSTRAP_BLOCK, replicates - start)
+            ia.append(stream.integers(0, n_a, (m, n_a)))
+            ib.append(stream.integers(0, n_b, (m, n_b)))
+        ia, ib = np.vstack(ia), np.vstack(ib)
+        wa = np.array([np.bincount(row, minlength=n_a) for row in ia])
+        wb = np.array([np.bincount(row, minlength=n_b) for row in ib])
+        expected = {}
+        for p, (samples, b) in pairs.items():
+            for s, a in enumerate(samples):
+                signs = np.sign(a[:, None] - b[None, :]).astype(np.int64)
+                einsum = np.einsum("ri,ij,rj->r", wa, signs, wb) / (n_a * n_b)
+                deltas = [cliffs_delta(a[ia[r]], b[ib[r]])[0] for r in range(replicates)]
+                assert einsum.tolist() == deltas
+                expected[p, s] = deltas
+        for confidence in (np.arange(50) + 0.5) / 50:
+            got = _bootstrap_intervals(pairs, replicates, confidence, 3)
+            tail = (1.0 - confidence) / 2.0
+            assert list(got) == list(pairs)
+            for (p, s), deltas in expected.items():
+                lo, hi = np.quantile(deltas, [tail, 1.0 - tail])
+                assert got[p][s] == (lo, hi), (p, s, tail)
 
 
 def dominance_matrix(n=30, better_by=1.0, names=("bench", "model")):
@@ -595,6 +620,52 @@ class TestWinTieLoss:
             for j in (1, 2, 3):
                 expected = bootstrap_ci(sign * m.values[:, j], bench, 300, 0.9, 4)
                 assert table[name][names[j]].ci == expected, (name, j)
+
+    def test_metrics_of_one_run_count_share_one_draw(self, monkeypatch):
+        """Three metrics at 12 runs and one at 9: the bootstrap stream opens
+        once per run count, and every interval still equals its own
+        bootstrap_ci call."""
+        rng = np.random.default_rng(17)
+        names = ["bench", "m1", "m2"]
+        matrices = {
+            "acc": RunMatrix(rng.normal(size=(12, 3)), names),
+            "loss": RunMatrix(rng.integers(0, 3, (12, 3)).astype(float), names,
+                              higher_is_better=False),  # ties
+            "auc": RunMatrix(rng.normal(size=(9, 3)), names),  # fewer runs
+            "f1": RunMatrix(rng.normal(size=(12, 3)), names),
+        }
+        opened = []
+
+        def counting(seed, *key):
+            opened.append(key)
+            return substream(seed, *key)
+
+        monkeypatch.setattr(evalstats, "substream", counting)
+        table = win_tie_loss(matrices, "bench", replicates=300, confidence=0.9, seed=4)
+        assert opened == [(BOOTSTRAP_STREAM,)] * 2
+        for name, m in matrices.items():
+            sign = 1.0 if m.higher_is_better else -1.0
+            bench = sign * m.values[:, 0]
+            for j in (1, 2):
+                expected = bootstrap_ci(sign * m.values[:, j], bench, 300, 0.9, 4)
+                assert table[name][names[j]].ci == expected, (name, j)
+
+    def test_memory_does_not_grow_with_metrics_and_models(self):
+        rng = np.random.default_rng(18)
+        names = ["bench", "m1", "m2", "m3"]
+        matrices = {f"metric{i}": RunMatrix(rng.normal(size=(200, 4)), names, i % 2 == 0)
+                    for i in range(5)}
+        win_tie_loss(matrices, "bench", replicates=100)  # warm-up outside the trace
+        tracemalloc.start()
+        try:
+            win_tie_loss(matrices, "bench", replicates=10_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # about 1.5 MB here: the 15 models' 10,000 int32 counts (0.6 MB), one
+        # block's running-count table and one row's gathers; 15 float64 rows
+        # of deltas alone would take 1.2 MB
+        assert peak < 2 * 2**20
 
     def test_errors(self):
         m = dominance_matrix()

@@ -40,8 +40,9 @@ def test_artifact_hashes_lists_every_output(tmp_path):
         "codes.npy", "features.npy", "key.json", "target.npy", "train_target.npy")]
     artifacts = ["out/views.json", "out/view_stats.json", "out/metrics.json",
                  "out/independence.json", "import/metrics.json", "stats/verdicts.json",
-                 "variant/views.json", "variant/view_stats.json", "variant/independence.json"]
+                 "variant/views.json", "variant/view_stats.json", "variant/independence.json",
+                 "mixed/verdicts.json"]
     ops = ("partition", "evaluate", "import", "diagnose", "stats",
-           "variant_partition", "variant_diagnose")
+           "variant_partition", "variant_diagnose", "mixed")
     logs = [f"logs/{op}.{stream}" for op in ops for stream in ("stdout", "stderr")]
     assert paths == sorted(f"lowcard/{p}" for p in cache + artifacts + logs)

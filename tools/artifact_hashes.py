@@ -12,8 +12,13 @@ interpreter with PYTHONPATH=SRC, into fixed directories under
 DIR/<workload>. Then `partition --discretizer equal_width --relevance
 max_ovr` and `diagnose` run into DIR/<workload>/variant, so the listing
 also covers the equal-width cuts and the one-vs-rest relevance, which the
-benchmark never runs. The config inside each artifact holds these paths,
-so two trees compare only when run with the same DIR:
+benchmark never runs. Last, the workload's last run matrix is cut to its
+first two thirds of runs (20 of 30 on lowcard) under DIR/<workload>/inputs,
+and `stats` runs on the full matrices and that cut into
+DIR/<workload>/mixed: a call whose metrics have two run counts, so two
+bootstrap draws, which the benchmark never makes either. The config
+inside each artifact holds these paths, so two trees compare only when run
+with the same DIR:
 
     python tools/artifact_hashes.py --src old/src --work /tmp/hashes > old.txt
     python tools/artifact_hashes.py --src src --work /tmp/hashes > new.txt
@@ -36,12 +41,26 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-OUTPUTS = ("out", "import", "stats", "variant", "logs")  # the directories the commands fill
+OUTPUTS = ("out", "import", "stats", "variant", "mixed", "logs")  # the directories commands fill
+
+
+def cut_matrix(inp) -> list[str]:
+    """Write the last run matrix of the inputs `inp`, cut to its first two
+    thirds of runs, beside it; return the `stats` arguments that add it to
+    the full matrices."""
+    metric, m = list(inp.matrices.items())[-1]
+    lines = m.path.read_bytes().splitlines(keepends=True)  # the header, then one per run
+    cut = m.path.with_name(f"{m.path.stem}_cut.csv")
+    cut.write_bytes(b"".join(lines[: 1 + 2 * (len(lines) - 1) // 3]))
+    args = [*inp.stats_args, "--matrix", f"{metric}_cut={cut.as_posix()}"]
+    return args if m.higher_is_better else [*args, "--lower-better", f"{metric}_cut"]
 
 
 def commands(inp, work: Path) -> list[tuple[str, list[str]]]:
-    """Each command's name and arguments for the inputs `inp` of one workload."""
-    out, imported, stats, variant = (str(work / d) for d in ("out", "import", "stats", "variant"))
+    """Each command's name and arguments for the inputs `inp` of one
+    workload; writes the cut matrix that `mixed` reads."""
+    out, imported, stats, variant, mixed = (
+        str(work / d) for d in ("out", "import", "stats", "variant", "mixed"))
     plan = [
         ("partition", ["partition", *inp.partition_args, "--out", out]),
         ("evaluate", ["evaluate", "--out", out]),
@@ -52,6 +71,7 @@ def commands(inp, work: Path) -> list[tuple[str, list[str]]]:
         ("variant_partition", ["partition", *inp.partition_args, "--discretizer", "equal_width",
                                "--relevance", "max_ovr", "--out", variant]),
         ("variant_diagnose", ["diagnose", "--out", variant]),
+        ("mixed", ["stats", *cut_matrix(inp), "--out", mixed]),
     ]
     return [(op, argv) for op, argv in plan if op != "import" or inp.probas]
 
