@@ -9,14 +9,15 @@ assumption, `stats` runs the rank-based comparison over run matrices.
 `stats` never loads `ensemble`. No command loads `numpy.ma`, which numpy
 imports on a call of `np.unique` without return flags, `np.quantile` or
 `np.median`, so no stage calls any of them. The parse-cache key is a
-CRC-32, so `diagnose` on a cache hit never maps OpenSSL's libcrypto; every
-other command maps it through `numpy.random`, which imports `secrets`.
+CRC-32 and the cache holds each row's split role, so `evaluate` and
+`diagnose` on a cache hit never draw from `numpy.random`, which imports
+`secrets` and with it OpenSSL's libcrypto; `partition` and `stats` do.
 
-`partition` leaves a parse cache beside views.json: the parsed table and
-the training rows' codes, which `evaluate` and `diagnose` read instead of
-the CSV while its key matches: the CRC-32 and byte count of the CSV with
-the config keys the parse depends on. It is not an artifact and is safe to
-delete.
+`partition` leaves a parse cache beside views.json: the parsed table, each
+row's role in the train/test and holdout splits and the training rows'
+codes, which `evaluate` and `diagnose` read instead of the CSV while its
+key matches: the CRC-32 and byte count of the CSV with the config keys the
+parse depends on. It is not an artifact and is safe to delete.
 
 All JSON artifacts are deterministic byte-for-byte under identical inputs
 and seed: wall-clock values never enter them and land in the run_log.json
@@ -43,7 +44,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .dataset import (
-    MISSING_POLICIES, Dataset, SplitSpec, _file_errors, discretize, load_csv, split, split_rows,
+    MISSING_POLICIES, Dataset, SplitSpec, _file_errors, discretize, load_csv, split_rows,
 )
 from .errors import ConfigError, DataError, SpfpError
 from .partitioning import (
@@ -182,7 +183,7 @@ CACHE_DIR = ".spfp_cache"
 # accidental same-length edit through about once in 2**32 (a SHA-256 about
 # once in 2**256) and catches every burst edit of 32 bits or less; it costs
 # about a third as much as a SHA-256, whose import would map OpenSSL's
-# libcrypto (3.4 MB RSS) into `diagnose`.
+# libcrypto (3.4 MB RSS) into `diagnose` and `evaluate`.
 _CACHE_KEYS = ("target", "missing_policy", "test_fraction", "seed", "bins", "discretizer")
 
 
@@ -244,14 +245,60 @@ def _read_cache(cache: Path, rc: RunConfig, *names: str) -> tuple[dict, dict] | 
     return meta, arrays
 
 
+# Each row's role in rows.npy: the outer split's test rows, and the training
+# rows split again into the inner training rows and the holdout.
+ROLE_TRAIN, ROLE_HOLDOUT, ROLE_TEST = 0, 1, 2
+
+
+def _draw_split(d: Dataset, rc: RunConfig) -> np.ndarray:
+    """Each row's role as the outer train/test split draws it; no holdout."""
+    _, test_idx = split_rows(d, SplitSpec(rc.test_fraction, rc.seed))
+    roles = np.full(d.n_rows, ROLE_TRAIN, dtype=np.int8)
+    roles[test_idx] = ROLE_TEST
+    return roles
+
+
+def _draw_holdout(roles: np.ndarray, d: Dataset, rc: RunConfig) -> None:
+    """Mark in `roles` the holdout that the holdout split of `d`'s training
+    rows draws; it reads their targets alone."""
+    train_idx = np.flatnonzero(roles != ROLE_TEST)
+    train = Dataset(np.empty((train_idx.size, 0)), (), d.target[train_idx], d.class_names)
+    _, held = split_rows(train, SplitSpec(rc.holdout_fraction, rc.seed), HOLDOUT_STREAM)
+    roles[train_idx[held]] = ROLE_HOLDOUT
+
+
+def _cached_roles(cache: Path, meta: dict, holdout_fraction: float | None) -> np.ndarray | None:
+    """The rows' roles `partition` saved with the key.json `meta`, if it
+    drew the holdout at `holdout_fraction` (None: no holdout is needed);
+    None if rows.npy is absent or malformed or its role counts are not
+    key.json's."""
+    try:
+        roles = np.load(cache / "rows.npy", allow_pickle=False)
+        if roles.dtype != np.int8 or roles.shape != (meta["n_rows"],):
+            return None
+        n, n_train, n_holdout = meta["n_rows"], meta["n_train_rows"], meta["n_holdout_rows"]
+        counts = np.bincount(roles, minlength=3).tolist()  # a negative role raises
+        if counts != [n_train - n_holdout, n_holdout, n - n_train]:
+            return None
+        if holdout_fraction is not None and meta["holdout_fraction"] != holdout_fraction:
+            return None
+    except (OSError, EOFError, ValueError, KeyError, TypeError):
+        return None
+    return roles
+
+
 def _load_and_split(
-    rc: RunConfig, cache: Path, features: bool = True
-) -> tuple[Dataset, Dataset, dict]:
-    """The train and test rows of the dataset, read from the parse cache
-    when its key matches, and the load counters and the cache's outcome for
-    run_log.json. Without `features` a hit reads the target alone, as the
-    split does, and the rows it returns hold no feature columns."""
-    hit = _read_cache(cache, rc, *(("features",) if features else ()), "target")
+    rc: RunConfig, cache: Path, built_in: bool = True
+) -> tuple[Dataset, np.ndarray, dict]:
+    """The dataset, each row's role and the load log for run_log.json: the
+    parse cache's outcome and where the roles came from (`row_split`). On a
+    hit the roles are read from rows.npy, with the holdout for the
+    `built_in` models; where they cannot be, the outer split is drawn and
+    the holdout left to `_draw_holdout`. Without `built_in` a hit reads the
+    target alone, as the split does, and the dataset holds no feature
+    columns."""
+    hit = _read_cache(cache, rc, *(("features",) if built_in else ()), "target")
+    roles = None
     if hit is None:
         d = load_csv(rc.input, rc.target, missing_policy=rc.missing_policy)
         load_log = {**_load_counters(d), "parse_cache": "miss"}
@@ -261,19 +308,26 @@ def _load_and_split(
         d = Dataset(table, tuple(meta["feature_names"]), arrays["target"],
                     tuple(meta["class_names"]))
         load_log = {**meta["load_counters"], "parse_cache": "hit"}
-    return *split(d, SplitSpec(rc.test_fraction, rc.seed)), load_log
+        roles = _cached_roles(cache, meta, rc.holdout_fraction if built_in else None)
+    load_log["row_split"] = "drawn" if roles is None else "cache"
+    return d, _draw_split(d, rc) if roles is None else roles, load_log
 
 
-def _load_train(rc: RunConfig, cache: Path | None = None) -> tuple[Dataset, int, dict]:
-    """The training rows of `_load_and_split`, the test row count and the
-    load counters, without building the test rows or keeping the full
-    table: `partition` and `diagnose` read the training rows alone. With
-    `cache`, the parsed table is saved there before it is dropped."""
+def _load_train(rc: RunConfig, cache: Path | None = None) -> tuple[Dataset, np.ndarray, dict]:
+    """The training rows of the dataset, each row's role and the load
+    counters, without building the test rows or keeping the full table:
+    `partition` and `diagnose` read the training rows alone. With `cache`,
+    the holdout is drawn too, and the parsed table and the roles are saved
+    there before the table is dropped."""
     d = load_csv(rc.input, rc.target, missing_policy=rc.missing_policy)
+    roles = _draw_split(d, rc)
     if cache is not None:
-        _save_cache(cache, {"features": d.features, "target": d.target})
-    train_idx, test_idx = split_rows(d, SplitSpec(rc.test_fraction, rc.seed))
-    return d.subset(train_idx), test_idx.size, _load_counters(d)
+        try:
+            _draw_holdout(roles, d, rc)
+        except DataError:  # a class with one training row; evaluate's draw reports it
+            pass
+        _save_cache(cache, {"features": d.features, "target": d.target, "rows": roles})
+    return d.subset(np.flatnonzero(roles != ROLE_TEST)), roles, _load_counters(d)
 
 
 def _load_counters(d: Dataset) -> dict:
@@ -349,14 +403,16 @@ def cmd_partition(args) -> int:
     out = _writable(Path(rc.out) / "views.json").parent
     cache, key = out / CACHE_DIR, _cache_key(rc)
     shutil.rmtree(cache, ignore_errors=True)  # then it holds what this run writes
-    train, n_test_rows, load_counters = _load_train(rc, cache)
+    train, roles, load_counters = _load_train(rc, cache)
+    _, n_holdout_rows, n_test_rows = np.bincount(roles, minlength=3).tolist()
     codes = discretize(train, rc.bins, rc.discretizer)
     _save_cache(
         cache,
         {"codes": codes, "train_target": train.target},
-        {"key": key, "n_rows": train.n_rows + n_test_rows, "n_train_rows": train.n_rows,
+        {"key": key, "n_rows": roles.size, "n_train_rows": train.n_rows,
          "feature_names": list(train.feature_names), "class_names": list(train.class_names),
-         "load_counters": load_counters},
+         "load_counters": load_counters, "n_holdout_rows": n_holdout_rows,
+         "holdout_fraction": rc.holdout_fraction if n_holdout_rows else None},
     )
     vs = partition(train, rc, codes)
 
@@ -484,10 +540,19 @@ def cmd_evaluate(args) -> int:
     out = _writable(Path(rc.out) / "metrics.json").parent
     started = time.time(), time.perf_counter()
     # imported members need only the test rows' targets
-    train, test, load_log = _load_and_split(rc, cache, features=not args.import_proba)
-    view_ids = _view_ids(doc, train.feature_names)
+    d, roles, load_log = _load_and_split(rc, cache, built_in=not args.import_proba)
+    view_ids = _view_ids(doc, d.feature_names)
     members = [f"theta_{g + 1}" for g in range(len(view_ids))]
-    n_classes = train.n_classes
+    n_classes = d.n_classes
+    test = d.subset(np.flatnonzero(roles == ROLE_TEST))
+    if not args.import_proba:
+        if load_log["row_split"] == "drawn":
+            # here, so a views file that does not fit the dataset is
+            # reported before a class too small for the holdout
+            _draw_holdout(roles, d, rc)
+        inner_train, holdout = (d.subset(np.flatnonzero(roles == role))
+                                for role in (ROLE_TRAIN, ROLE_HOLDOUT))
+    del d  # each model reads the rows of its role
 
     # Each branch fills the test-row probabilities of its models and times
     # what produced them; the built-in one also scores its members on the
@@ -508,10 +573,6 @@ def cmd_evaluate(args) -> int:
             elapsed[name] = time.perf_counter() - tm
     else:
         weighting = {"source": "train_holdout", "holdout_fraction": rc.holdout_fraction}
-        inner_train, holdout = split(
-            train, SplitSpec(rc.holdout_fraction, rc.seed), stream=HOLDOUT_STREAM
-        )
-        del train  # training reads the inner split and the holdout
 
         def fit(name: str, x: np.ndarray, columns) -> ProbModel:
             """Model `name` on `x`, the features `columns`; train_builtin's

@@ -207,7 +207,9 @@ def train_builtin(
     onehot = np.eye(n_cls)[y]
     penalty_mask = np.ones((d + 1, 1))
     penalty_mask[0, 0] = 0.0
-    rows = np.arange(n)
+    # Each row's true-class entry in the flattened (n, n_cls) logits and
+    # probabilities: one gather reads them.
+    true = np.arange(n) * n_cls + y
     # The logits of the last point evaluated, then its probabilities, in
     # one buffer that every evaluation reuses: the same IEEE operations in
     # the same order as the out-of-place log-sum-exp loss and
@@ -218,7 +220,7 @@ def train_builtin(
         """The penalized cross-entropy in nats at w; leaves softmax(xb @ w)
         in z."""
         _subtract_row_max(np.matmul(xb, w, out=z))
-        shifted_true = z[rows, y]
+        shifted_true = np.take(z.ravel(), true)
         nll = np.log(_exp_normalize(z)) - shifted_true
         return float(nll.mean()) + 0.5 * l2 * float(np.vdot(w[1:], w[1:]))
 
@@ -263,7 +265,7 @@ def train_builtin(
         iterations += 1
 
     p = _softmax(np.matmul(xb, w, out=z))
-    p_true = np.clip(p[rows, y], _PROB_CLAMP, 1.0 - _PROB_CLAMP)
+    p_true = np.clip(np.take(p.ravel(), true), _PROB_CLAMP, 1.0 - _PROB_CLAMP)
     final_loss = float(-np.log2(p_true).mean())
     return ProbModel(
         weights=w, mean=mean, scale=scale, iterations=iterations, final_loss=final_loss,

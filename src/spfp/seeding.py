@@ -8,7 +8,9 @@ Reserved purpose codes:
 
 * ``SPLIT_STREAM``    -- train/test row assignment
 * ``REMOVAL_STREAM``  -- per-view feature removal; index = 0-based view number
-* ``HOLDOUT_STREAM``  -- validation holdout used for ensemble weights
+* ``HOLDOUT_STREAM``  -- validation holdout used for ensemble weights;
+  `partition` draws it with the train/test split and saves both in the
+  parse cache, which `evaluate` reads instead of drawing them again
 * ``BOOTSTRAP_STREAM``-- bootstrap resampling; no index: each bootstrap_ci
   call, and each run count of win_tie_loss (its metrics share the draw,
   each interval that of its own call), draws every replicate from

@@ -23,11 +23,12 @@ from spfp import cli, evalstats
 from spfp.cli import (
     CACHE_DIR, FORMAT_VERSION, RunConfig, _write_json, build_parser, cmd_evaluate, main,
 )
-from spfp.dataset import SplitSpec, load_csv, split
+from spfp.dataset import SplitSpec, load_csv, split, split_rows
 from spfp.partitioning import partition
 from spfp.ensemble import metrics
 from spfp.evalstats import friedman
 from spfp.errors import ConfigError, DataError
+from spfp.seeding import HOLDOUT_STREAM
 
 
 def write_bits_csv(path: Path, n_copies: int = 3, reps: int = 6) -> None:
@@ -228,9 +229,10 @@ class TestStartup:
         assert self.loaded([argv], "numpy.ma") == []
         assert read_json(tmp_path / "run_log.json")["partition"]["cells_imputed"] == 2
 
-    # `import hashlib` maps OpenSSL's libcrypto, and the parse-cache key is a
-    # CRC-32 so that `diagnose` does without it. No other command is checked:
-    # each draws from numpy.random, which imports secrets, hmac and hashlib.
+    # `import hashlib` maps OpenSSL's libcrypto, and numpy.random imports it
+    # through secrets and hmac. The parse-cache key is a CRC-32 and the cache
+    # holds each row's split role, so `diagnose` and `evaluate` on a cache hit
+    # do without both; `partition` and `stats` draw from numpy.random.
     def test_import_loads_no_hashlib(self):
         assert self.loaded([], "hashlib", "_hashlib") == []
 
@@ -239,6 +241,16 @@ class TestStartup:
         argv = ["diagnose", "--out", str(tmp_path)]
         assert self.loaded([argv], "hashlib", "_hashlib") == []
         assert read_json(tmp_path / "run_log.json")["diagnose"]["parse_cache"] == "hit"
+
+    @pytest.mark.parametrize("imported", [False, True])
+    def test_evaluate_on_a_cache_hit_draws_nothing(self, partitioned, imported):
+        tmp_path, _ = partitioned
+        argv = ["evaluate", "--out", str(tmp_path)]
+        if imported:
+            argv += ["--import-proba", str(write_imported(tmp_path))]
+        assert self.loaded([argv], "numpy.random", "hashlib", "_hashlib") == []
+        entry = read_json(tmp_path / "run_log.json")["evaluate"]
+        assert (entry["parse_cache"], entry["row_split"]) == ("hit", "cache")
 
 
 class TestPartitionCommand:
@@ -1437,7 +1449,8 @@ class TestParseCache:
         np.save(cache / "stale.npy", codes)
         assert main(partition_argv(csv_path, tmp_path)) == 0
         assert sorted(p.name for p in cache.iterdir()) == [
-            "codes.npy", "features.npy", "key.json", "target.npy", "train_target.npy"]
+            "codes.npy", "features.npy", "key.json", "rows.npy", "target.npy",
+            "train_target.npy"]
 
     def test_unwritable_cache_is_no_error(self, workdir):
         tmp_path, csv_path = workdir
@@ -1445,6 +1458,98 @@ class TestParseCache:
         assert main(partition_argv(csv_path, tmp_path)) == 0
         _, logs = self.stages(tmp_path)
         assert self.outcomes(logs) == self.ALL_MISS
+
+
+class TestCachedRowSplit:
+    """`partition` saves each row's role in the outer and holdout splits as
+    rows.npy in the parse cache; `evaluate` reads its rows from there on a
+    hit and draws them, with the same results, when it cannot."""
+
+    @staticmethod
+    def evaluate(tmp_path: Path, *flags: str) -> tuple[dict, dict]:
+        """Run `evaluate` on the built-in models and on imported files, with
+        `flags`: each one's metrics.json bytes and run-log `row_split`."""
+        pdir = tmp_path / "imported"
+        if not pdir.exists():
+            write_imported(tmp_path)
+        outs = {"built_in": tmp_path, "import": tmp_path / "import"}
+        assert main(["evaluate", "--out", str(tmp_path), *flags]) == 0
+        assert main(["evaluate", "--views-file", str(tmp_path / "views.json"),
+                     "--import-proba", str(pdir), "--out", str(outs["import"]), *flags]) == 0
+        logs = {name: read_json(out / "run_log.json")["evaluate"] for name, out in outs.items()}
+        assert all(entry["parse_cache"] == "hit" for entry in logs.values())
+        return ({name: (out / "metrics.json").read_bytes() for name, out in outs.items()},
+                {name: entry["row_split"] for name, entry in logs.items()})
+
+    def test_roles_are_the_drawn_splits(self, partitioned):
+        tmp_path, csv_path = partitioned
+        meta = read_json(tmp_path / CACHE_DIR / "key.json")
+        roles = np.load(tmp_path / CACHE_DIR / "rows.npy")
+        assert roles.dtype == np.int8
+        d = load_csv(str(csv_path), "y")
+        train_idx, test_idx = split_rows(d, SplitSpec(0.33, 7))
+        inner_idx, holdout_idx = split_rows(d.subset(train_idx), SplitSpec(0.2, 7),
+                                            HOLDOUT_STREAM)
+        for role, rows in enumerate([train_idx[inner_idx], train_idx[holdout_idx], test_idx]):
+            assert np.array_equal(np.flatnonzero(roles == role), rows)
+        assert (meta["holdout_fraction"], meta["n_holdout_rows"]) == (0.2, holdout_idx.size)
+
+    @staticmethod
+    def recast(path: Path, role: int, to: int) -> None:
+        """Give the first row of `role` in rows.npy the role `to`."""
+        roles = np.load(path)
+        roles[np.flatnonzero(roles == role)[0]] = to
+        np.save(path, roles)
+
+    @pytest.mark.parametrize("edit", [
+        lambda path: path.unlink(),
+        lambda path: np.save(path, np.load(path).astype(np.int16)),
+        lambda path: np.save(path, np.load(path)[:-1]),
+        lambda path: TestCachedRowSplit.recast(path, 0, 3),
+        lambda path: TestCachedRowSplit.recast(path, 2, -1),
+        lambda path: TestCachedRowSplit.recast(path, 2, 0),
+        lambda path: TestCachedRowSplit.recast(path, 0, 1),
+    ], ids=["absent", "int16", "one_row_short", "role_3", "negative_role",
+            "test_row_as_training", "training_row_as_holdout"])
+    def test_damaged_split_file_is_drawn(self, partitioned, edit):
+        tmp_path, _ = partitioned
+        cached, split_from = self.evaluate(tmp_path)
+        assert split_from == {"built_in": "cache", "import": "cache"}
+        edit(tmp_path / CACHE_DIR / "rows.npy")
+        drawn, split_from = self.evaluate(tmp_path)
+        assert split_from == {"built_in": "drawn", "import": "drawn"}
+        assert drawn == cached
+
+    def test_other_holdout_fraction_is_drawn(self, partitioned):
+        # the import path has no holdout, so any fraction reads the split
+        tmp_path, _ = partitioned
+        cached, split_from = self.evaluate(tmp_path, "--holdout-frac", "0.3")
+        assert split_from == {"built_in": "drawn", "import": "cache"}
+        assert read_json(tmp_path / "metrics.json")["weighting"]["holdout_fraction"] == 0.3
+        (tmp_path / CACHE_DIR / "rows.npy").unlink()
+        drawn, split_from = self.evaluate(tmp_path, "--holdout-frac", "0.3")
+        assert split_from == {"built_in": "drawn", "import": "drawn"}
+        assert drawn == cached
+
+    def test_class_with_one_training_row(self, workdir, capsys):
+        # two rows: one goes to the test rows, so the holdout split cannot
+        # be drawn; partition saves no holdout and evaluate reports it
+        tmp_path, csv_path = workdir
+        with open(csv_path, "a", encoding="utf-8") as fh:
+            fh.write("".join(",".join(["1"] * 12 + ["rare"]) + "\n" for _ in range(2)))
+        assert main(partition_argv(csv_path, tmp_path)) == 0
+        meta = read_json(tmp_path / CACHE_DIR / "key.json")
+        assert (meta["holdout_fraction"], meta["n_holdout_rows"]) == (None, 0)
+        capsys.readouterr()
+        assert main(["evaluate", "--out", str(tmp_path)]) == 3
+        assert capsys.readouterr().err == (
+            "error: class 'rare' has fewer than 2 rows; cannot appear in both sides\n")
+        # a views file that does not fit the dataset is reported first
+        doc = read_json(tmp_path / "views.json")
+        doc["feature_names"][0] = "g0"
+        (tmp_path / "views.json").write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["evaluate", "--out", str(tmp_path)]) == 3
+        assert "dataset columns do not match the views file" in capsys.readouterr().err
 
 
 def write_matrix_csv(path: Path, columns: dict) -> None:

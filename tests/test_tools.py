@@ -37,7 +37,8 @@ def test_artifact_hashes_lists_every_output(tmp_path):
     assert all(re.fullmatch(r"[0-9a-f]{12} \S+", line) for line in lines), lines
     paths = [line.split(" ", 1)[1] for line in lines]
     cache = [f"{d}/.spfp_cache/{name}" for d in ("out", "variant") for name in (
-        "codes.npy", "features.npy", "key.json", "target.npy", "train_target.npy")]
+        "codes.npy", "features.npy", "key.json", "rows.npy", "target.npy",
+        "train_target.npy")]
     artifacts = ["out/views.json", "out/view_stats.json", "out/metrics.json",
                  "out/independence.json", "import/metrics.json", "stats/verdicts.json",
                  "variant/views.json", "variant/view_stats.json", "variant/independence.json",
