@@ -66,7 +66,7 @@ if TYPE_CHECKING:
 
 __all__ = ["RunConfig", "main", "build_parser", "FORMAT_VERSION"]
 
-FORMAT_VERSION = 7
+FORMAT_VERSION = 8
 EXIT_OK, EXIT_CONFIG, EXIT_DATA, EXIT_INTERNAL = 0, 2, 3, 4
 
 
@@ -110,8 +110,11 @@ class RunConfig(SpfpConfig):
             # format 4 only its p-values, formats 5 and 7 only how the
             # built-in model is trained and format 6 only the last bits of
             # entropies; no config key selects any of them, so older configs
-            # read as current.
-            doc = {**doc, "format_version": FORMAT_VERSION}
+            # read as current. Format 8 made the one-vs-rest relevance the
+            # only rule and dropped the key that chose it; no later stage
+            # reads how a file's views were scored.
+            doc = {k: v for k, v in doc.items() if k != "relevance_correlation"}
+            doc["format_version"] = FORMAT_VERSION
         known = {f.name for f in fields(cls)}
         unknown = set(doc) - known
         if unknown:
@@ -838,8 +841,6 @@ def build_parser() -> argparse.ArgumentParser:
     _flag(p, "--seed", "seed")
     _flag(p, "--test-frac", "test_fraction")
     _flag(p, "--missing-policy", "missing_policy")
-    _flag(p, "--relevance", "relevance_correlation",
-          help="target encoding for the Pearson relevance term")
     p.add_argument("--out")
     p.set_defaults(func=cmd_partition)
 

@@ -13,9 +13,10 @@ joint entropy with the target matching H(F,Y). After each view a configured
 fraction of its features is removed from the master feature space, which
 drives diversity across views.
 
-|R| is the absolute Pearson correlation of the raw feature values against
-the encoded target; the information terms are plug-in estimates over the
-discretized codes.
+|R| is the largest absolute Pearson correlation of a raw feature column
+against the one-vs-rest indicator of a class, so like the information terms
+it does not depend on how the classes are numbered; those terms are plug-in
+estimates over the discretized codes.
 """
 
 from __future__ import annotations
@@ -90,10 +91,7 @@ class SpfpConfig:
     """Parameters of the partitioning run.
 
     `min_features` is a fraction of the total feature count when in (0,1),
-    a whole count otherwise. `relevance_correlation` picks how the
-    Pearson term treats a multi-class target: ``codes`` correlates against
-    the integer class codes, ``max_ovr`` takes the maximum over one-vs-rest
-    class indicators. Every field, a subclass's too, is checked on
+    a whole count otherwise. Every field, a subclass's too, is checked on
     construction: its type against its annotation, then, if declared with
     `config_key`, its value against the allowed ones.
     """
@@ -105,7 +103,6 @@ class SpfpConfig:
     seed: int = config_key(0, Range(0))
     bins: int = config_key(10, Range(2))
     discretizer: str = config_key("equal_frequency", *DISCRETIZERS)
-    relevance_correlation: str = config_key("codes", "codes", "max_ovr")
 
     def __post_init__(self) -> None:
         for f in fields(self):
@@ -188,30 +185,30 @@ class PoolDepletedError(DataError):
         self.removed_log = removed_log
 
 
-def relevance_vector(
-    features: np.ndarray, target: np.ndarray, n_classes: int, mode: str = "codes"
-) -> np.ndarray:
-    """|Pearson r| of every raw feature column against the encoded target;
-    0 for a constant column.
+def relevance_vector(features: np.ndarray, target: np.ndarray, n_classes: int) -> np.ndarray:
+    """For every raw feature column, the largest |Pearson r| against the
+    one-vs-rest indicator of a class 0..n_classes-1; 0 for a constant
+    column. Renumbering the classes permutes the indicators, so it changes
+    no bit.
 
     Each column is first scaled by 2^-e, e the binary exponent of its
     largest magnitude, clipped so the factor stays a normal double. That is
     exact and |r| is scale-free, so no sum, square or norm overflows or
     underflows, and an ordinary column keeps the bits of unscaled arithmetic.
     """
-    if mode == "codes":
-        ys = [target.astype(np.float64)]
-    else:  # "max_ovr"
-        ys = [(target == c).astype(np.float64) for c in range(n_classes)]
     peak = np.maximum(features.max(axis=0), -features.min(axis=0))
     xc = features * np.ldexp(1.0, -np.maximum(np.frexp(peak)[1], -1021))
     xc -= xc.mean(axis=0)
-    ycs = [y - y.mean() for y in ys]
-    dots = [xc.T @ yc for yc in ycs]
+    dots, ynorms = [], []
+    for c in range(n_classes):
+        yc = (target == c).astype(np.float64)
+        yc -= yc.mean()
+        dots.append(xc.T @ yc)
+        ynorms.append(math.sqrt(float((yc * yc).sum())))
     xnorm = np.sqrt(np.square(xc, out=xc).sum(axis=0))  # xc is spent
     best = np.zeros(features.shape[1])
-    for yc, dot in zip(ycs, dots):
-        denom = xnorm * math.sqrt(float((yc * yc).sum()))
+    for dot, ynorm in zip(dots, ynorms):
+        denom = xnorm * ynorm
         r = np.divide(np.abs(dot), denom, out=np.zeros_like(denom), where=denom > 0)
         best = np.maximum(best, np.minimum(r, 1.0))
     return best
@@ -254,9 +251,7 @@ class _Context:
 def _build_context(d: Dataset, codes: np.ndarray, config: SpfpConfig) -> _Context:
     """The run's shared state; the codes are kept only inside the PairCache."""
     cache = PairCache(codes, d.target)
-    relevance = relevance_vector(
-        d.features, d.target, d.n_classes, config.relevance_correlation
-    )
+    relevance = relevance_vector(d.features, d.target, d.n_classes)
     full = RowPartition.from_columns(cache.columns)
     h_f = full.entropy()
     h_fy = full.refine(d.target).entropy()

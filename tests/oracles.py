@@ -75,3 +75,10 @@ def pearson_abs(x, y) -> float:
     if denom == 0.0:
         return 0.0
     return min(1.0, float(abs((xc * yc).sum() / denom)))
+
+
+def max_ovr_pearson_abs(x, target) -> float:
+    """The largest `pearson_abs` of `x` against a class's one-vs-rest
+    indicator: the relevance term |R(f, Y)| of the greedy score."""
+    target = np.asarray(target)
+    return max(pearson_abs(x, (target == k).astype(np.float64)) for k in np.unique(target))

@@ -24,8 +24,8 @@ from oracles import (
     entropy,
     interaction_gain,
     joint_entropy,
+    max_ovr_pearson_abs,
     mutual_information,
-    pearson_abs,
 )
 from spfp.cli import main
 from spfp.dataset import Dataset, discretize
@@ -95,7 +95,7 @@ def oracle_greedy(codes, raw, target, n_f, tol=1e-9):
             break
         best, best_score = None, -math.inf
         for c in pool:
-            score = pearson_abs(raw[:, c], target.astype(np.float64))
+            score = max_ovr_pearson_abs(raw[:, c], target)
             score += mutual_information(cols[c], target)
             if selected:
                 mi = sum(mutual_information(cols[s], cols[c]) for s in selected)

@@ -332,7 +332,7 @@ class TestPartitionCommand:
         # signal: every view saturates at H(F) = log2(402), and five views
         # with removals reuse sweeps, read earlier winners' entries and
         # retire features. SHA-256 of views.json and view_stats.json as
-        # format 7 writes them, the run's paths left out of the config.
+        # format 8 writes them, the run's paths left out of the config.
         rng = np.random.default_rng(18)
         y = rng.integers(0, 10, size=600)
         x = rng.normal(size=(600, 40))
@@ -351,10 +351,10 @@ class TestPartitionCommand:
             del doc["config"]["input"], doc["config"]["out"]
             digest.update(json.dumps(doc, sort_keys=True).encode())
         assert digest.hexdigest() == (
-            "4491d5b683a6b84a0cd06f790d7bc6d198c3daba5e3e08f444b142da9a991c2e")
+            "03caac15592b17f6c6e2716adfcf75b7d04b1fb153017f93be5cc442708f1823")
         log = read_json(tmp_path / "run_log.json")["partition"]
-        # 491 of the 16 x 40 pairs that full sweeps would count
-        assert (log["winner_sweeps"], log["winner_memo_hits"], log["pairs_counted"]) == (16, 7, 491)
+        # 585 of the 20 x 40 pairs that full sweeps would count
+        assert (log["winner_sweeps"], log["winner_memo_hits"], log["pairs_counted"]) == (20, 6, 585)
 
     @pytest.mark.parametrize("target_first", [False, True])
     def test_byte_order_mark_is_skipped(self, workdir, target_first):
@@ -475,7 +475,7 @@ class TestPartitionCommand:
         assert "workers" not in config
         assert config["format_version"] == FORMAT_VERSION
 
-    @pytest.mark.parametrize("version", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("version", [2, 3, 4, 5, 6, 7])
     def test_older_views_file_runs_evaluate_and_diagnose(self, partitioned, version):
         tmp_path, _ = partitioned
         doc = read_json(tmp_path / "views.json")
@@ -488,6 +488,31 @@ class TestPartitionCommand:
             assert written["format_version"] == FORMAT_VERSION
             assert written["config"]["format_version"] == FORMAT_VERSION
 
+    @pytest.mark.parametrize("relevance", ["codes", "max_ovr"])
+    def test_format_7_relevance_key_is_dropped(self, partitioned, relevance):
+        # format 8 made the one-vs-rest relevance the only rule and dropped
+        # the key that chose it; no later stage reads how views were scored
+        tmp_path, _ = partitioned
+        doc = read_json(tmp_path / "views.json")
+        doc["format_version"] = doc["config"]["format_version"] = 7
+        doc["config"]["relevance_correlation"] = relevance
+        (tmp_path / "views.json").write_text(json.dumps(doc))
+        assert main(["evaluate", "--out", str(tmp_path)]) == 0
+        assert main(["diagnose", "--out", str(tmp_path)]) == 0
+        for name in ("metrics.json", "independence.json"):
+            config = read_json(tmp_path / name)["config"]
+            assert "relevance_correlation" not in config
+            assert config["format_version"] == FORMAT_VERSION
+
+    @pytest.mark.parametrize("command", ["evaluate", "diagnose"])
+    def test_current_views_file_rejects_relevance_key(self, partitioned, capsys, command):
+        tmp_path, _ = partitioned
+        doc = read_json(tmp_path / "views.json")
+        doc["config"]["relevance_correlation"] = "max_ovr"
+        (tmp_path / "views.json").write_text(json.dumps(doc))
+        assert main([command, "--out", str(tmp_path)]) == 2
+        assert "unknown config keys: ['relevance_correlation']" in capsys.readouterr().err
+
     def test_bad_discretizer_choice_exits_2(self, workdir, capsys):
         tmp_path, csv_path = workdir
         argv = partition_argv(csv_path, tmp_path,
@@ -499,6 +524,12 @@ class TestPartitionCommand:
         argv = partition_argv(csv_path, tmp_path,
                               **{"--discretizer": "passthrough_if_integral"})
         assert main(argv) == 2
+        assert not (tmp_path / "views.json").exists()
+
+    def test_removed_relevance_flag_exits_2(self, workdir, capsys):
+        tmp_path, csv_path = workdir
+        assert main(partition_argv(csv_path, tmp_path, **{"--relevance": "max_ovr"})) == 2
+        assert "unrecognized arguments: --relevance max_ovr" in capsys.readouterr().err
         assert not (tmp_path / "views.json").exists()
 
     def test_min_count_and_min_frac_conflict_exits_2(self, workdir):
@@ -558,13 +589,13 @@ class TestEvaluateCommand:
             assert entry["fallbacks"] == 0
 
     def test_metrics_bytes_pinned(self, partitioned):
-        # metrics.json as format 7 writes it on the 12-column fixture; the
+        # metrics.json as format 8 writes it on the 12-column fixture; the
         # built-in models' bits depend on the BLAS kernels, as the views
         # pin's do
         tmp_path, _ = partitioned
         assert main(["evaluate", "--out", str(tmp_path)]) == 0
         assert metrics_digest(tmp_path) == (
-            "5b73cfed4c3aa54c8d2c2f624becbeecf462cd180644db69b43654e7c80a03cc")
+            "9ba77f2bea4a2cad0059b4472f9f0ee98b39bcbcdbed7aa371ed3f6eb51316d6")
 
     def test_rerun_is_byte_identical(self, partitioned):
         tmp_path, _ = partitioned
@@ -677,8 +708,8 @@ class TestEvaluateCommand:
         assert main(["evaluate", "--out", str(tmp_path)]) == 3
         err = capsys.readouterr().err
         assert "its mean or standard deviation overflows the float range" in err
-        # named by model and feature: f2 is the fourth column of view 2's X
-        assert "model theta_2, feature 'f2': column 3 of X" in err
+        # named by model and feature: f2 is the second column of view 2's X
+        assert "model theta_2, feature 'f2': column 1 of X" in err
         assert "warning" not in err and "internal error" not in err
         assert not (tmp_path / "metrics.json").exists()
         # with f2 in no view, the all-features model names it
@@ -845,7 +876,7 @@ class TestImportProba:
         tmp_path, pdir, _ = proba_dir
         assert main(["evaluate", "--out", str(tmp_path), "--import-proba", str(pdir)]) == 0
         assert metrics_digest(tmp_path) == (
-            "037f1eee22fe46feb7ac238162c0130fb2afde2107356b2be6cb330c6f41ff51")
+            "74c9e45fd8246730c564e67da7457e0704409f174fc997333697ee64a88a0e4a")
         timed = read_json(tmp_path / "run_log.json")["evaluate"]["model_elapsed_seconds"]
         assert set(timed) == set(read_json(tmp_path / "metrics.json")["models"])
 
@@ -1128,7 +1159,6 @@ class TestViewsFileIndices:
         ("seed", -1, "must be non-negative, got -1"),
         ("bins", 1, "must be >= 2, got 1"),
         ("discretizer", "bogus", "must be 'equal_frequency' or 'equal_width', got 'bogus'"),
-        ("relevance_correlation", "spearman", "must be 'codes' or 'max_ovr', got 'spearman'"),
         ("test_fraction", 0.0, "must be in (0.0, 1.0), got 0.0"),
         ("missing_policy", "skip", "must be 'error' or 'drop' or 'median', got 'skip'"),
         ("holdout_fraction", 0.0, "must be in (0.0, 1.0), got 0.0"),
@@ -1668,11 +1698,11 @@ class TestStatsCommand:
         assert main(argv) == 0, capsys.readouterr().err
         assert (tmp_path / "verdicts.json").read_bytes() == expected
 
-    # SHA-256 of the verdicts.json that format 6 writes for each fixture; a
+    # SHA-256 of the verdicts.json that format 8 writes for each fixture; a
     # change to how the intervals are computed must leave these bytes alone
     PINNED = {
-        "separated": "e099094697e1c4a6df68dc35266a7821a55efa89e79216ff93165befe123f531",
-        "overlapping": "4431282743650268da79bc3e0fb22652aea3773aaab2f260a87124673d28883b",
+        "separated": "16925f8120b20c617f3f9295870b9e5f16acda49359f462f05a9b8b2b30b9da7",
+        "overlapping": "c08d19e0fda18c3eeb9a44da16f8bb7d7b030710c4c5469fab2331e689c262e0",
     }
 
     def test_verdicts_bytes_pinned(self, matrices):

@@ -19,7 +19,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from oracles import conditional_mutual_information, joint_entropy, mutual_information, pearson_abs
+from oracles import (
+    conditional_mutual_information,
+    joint_entropy,
+    max_ovr_pearson_abs,
+    mutual_information,
+)
 from spfp.dataset import Dataset, discretize
 from spfp.errors import ConfigError, DataError
 from spfp.infometrics import PairCache
@@ -79,7 +84,7 @@ def oracle_greedy(codes, raw, target, n_f, tol=1e-9):
             break
         best, best_score = None, -math.inf
         for c in pool:
-            score = pearson_abs(raw[:, c], target.astype(np.float64))
+            score = max_ovr_pearson_abs(raw[:, c], target)
             score += mutual_information(cols[c], target)
             if selected:
                 mi = sum(mutual_information(cols[s], cols[c]) for s in selected)
@@ -112,7 +117,6 @@ class TestSpfpConfig:
             {"remove_fraction": 1.5},
             {"entropy_tolerance": 0.0},
             {"seed": -1},
-            {"relevance_correlation": "spearman"},
             {"entropy_tolerance": 1.0},
             {"min_features": 1.5},
             {"bins": 1},
@@ -445,13 +449,12 @@ class TestRelevance:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             r = relevance_vector(features, y, 3)
-        assert_allclose(r[0], pearson_abs(x, y), rtol=0, atol=1e-12)
+        assert_allclose(r[0], max_ovr_pearson_abs(x, y), rtol=0, atol=1e-12)
         assert_allclose(r[1], r[0], rtol=0, atol=1e-12)
         assert r[0] > 0.5
 
-    @pytest.mark.parametrize("mode", ["codes", "max_ovr"])
     @pytest.mark.parametrize("scale", [1e306, -1e306, 1e307])
-    def test_overflowing_mean_keeps_the_correlation(self, mode, scale):
+    def test_overflowing_mean_keeps_the_correlation(self, scale):
         # the column sum overflows: the mean used to be inf and r NaN, which
         # np.argmax in build_view then picked
         rng = np.random.default_rng(47)
@@ -460,7 +463,7 @@ class TestRelevance:
         features = np.column_stack([x * scale, x])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            r = relevance_vector(features, y, 3, mode)
+            r = relevance_vector(features, y, 3)
         assert_allclose(r[0], r[1], rtol=0, atol=1e-12)
         assert r[1] > 0.5
 
@@ -496,11 +499,56 @@ class TestRelevance:
         assert (np.abs(scaled) >= np.finfo(np.float64).tiny).all() and np.isfinite(scaled).all()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for mode in ("codes", "max_ovr"):
-                expected = relevance_vector(X, y, 3, mode)
-                assert relevance_vector(scaled, y, 3, mode).tobytes() == expected.tobytes()
+            expected = relevance_vector(X, y, 3)
+            assert relevance_vector(scaled, y, 3).tobytes() == expected.tobytes()
             codes = [discretize(make_dataset(F, y), 10, "equal_width") for F in (X, scaled)]
         np.testing.assert_array_equal(codes[1], codes[0])
+
+
+def bits_dataset():
+    """The CLI's 12-column fixture: 4 latent bits x 3 copies, 96 rows, the
+    binary target equal to bit 0."""
+    combos = np.repeat(np.arange(16), 6)
+    bits = (combos[:, None] >> np.arange(4)) & 1
+    return make_dataset(np.tile(bits, 3), bits[:, 0])
+
+
+def ten_class_dataset():
+    """600 x 40 continuous columns, 10 classes, columns 0-3 carrying the
+    signal, as in the CLI's saturating-views pin."""
+    rng = np.random.default_rng(18)
+    y = rng.integers(0, 10, size=600)
+    x = rng.normal(size=(600, 40))
+    for j in range(4):
+        x[:, j] += 1.5 * (y == 2 * j) - 1.5 * (y == 2 * j + 1)
+    return make_dataset(x, y)
+
+
+class TestClassNumbering:
+    # the greedy score's terms, I(f;Y), I(f_s;f_c|Y) and the one-vs-rest
+    # |R(f, Y)|, do not change when the classes are renumbered, so neither
+    # may any view, score, entropy or removal
+    FIXTURES = {
+        "bits": (bits_dataset(), SpfpConfig(n_views=2, remove_fraction=0.4, seed=7)),
+        "ten_classes": (ten_class_dataset(), SpfpConfig(n_views=5)),
+    }
+
+    @staticmethod
+    def outcome(d, config):
+        vs = partition(d, config)
+        views = [(v.feature_ids, np.array(v.scores).tobytes(), v.h_s, v.h_sy, v.termination)
+                 for v in vs.views]
+        return views, vs.removed_log, vs.h_f, vs.h_fy
+
+    @pytest.mark.parametrize("name", FIXTURES)
+    @settings(max_examples=8, deadline=None)
+    @given(data=st.data())
+    def test_relabelling_the_classes_changes_nothing(self, name, data):
+        d, config = self.FIXTURES[name]
+        perm = np.array(data.draw(st.permutations(range(d.n_classes))), dtype=np.intp)
+        relabelled = Dataset(features=d.features, feature_names=d.feature_names,
+                             target=perm[d.target], class_names=d.class_names)
+        assert self.outcome(relabelled, config) == self.outcome(d, config)
 
 
 class TestNonFiniteFeature:

@@ -9,12 +9,11 @@ DIR/<workload>/inputs by `bench/workloads.generate`, and `partition`,
 `evaluate`, `evaluate --import-proba` (where the workload has prediction
 files), `diagnose` and `stats` run in that order, each in its own
 interpreter with PYTHONPATH=SRC, into fixed directories under
-DIR/<workload>. Then `partition --discretizer equal_width --relevance
-max_ovr` and `diagnose` run into DIR/<workload>/variant, so the listing
-also covers the equal-width cuts and the one-vs-rest relevance, which the
-benchmark never runs. Last, the workload's last run matrix is cut to its
-first two thirds of runs (20 of 30 on lowcard) under DIR/<workload>/inputs,
-and `stats` runs on the full matrices and that cut into
+DIR/<workload>. Then `partition --discretizer equal_width` and `diagnose`
+run into DIR/<workload>/variant, so the listing also covers the equal-width
+cuts, which the benchmark never runs. Last, the workload's last run matrix
+is cut to its first two thirds of runs (20 of 30 on lowcard) under
+DIR/<workload>/inputs, and `stats` runs on the full matrices and that cut into
 DIR/<workload>/mixed: a call whose metrics have two run counts, so two
 bootstrap draws, which the benchmark never makes either. The config
 inside each artifact holds these paths, so two trees compare only when run
@@ -69,7 +68,7 @@ def commands(inp, work: Path) -> list[tuple[str, list[str]]]:
         ("diagnose", ["diagnose", "--out", out]),
         ("stats", ["stats", *inp.stats_args, "--out", stats]),
         ("variant_partition", ["partition", *inp.partition_args, "--discretizer", "equal_width",
-                               "--relevance", "max_ovr", "--out", variant]),
+                               "--out", variant]),
         ("variant_diagnose", ["diagnose", "--out", variant]),
         ("mixed", ["stats", *cut_matrix(inp), "--out", mixed]),
     ]
