@@ -15,9 +15,10 @@ CRC-32 and the cache holds each row's split role, so `evaluate` and
 
 `partition` leaves a parse cache beside views.json: the parsed table, each
 row's role in the train/test and holdout splits and the training rows'
-codes, which `evaluate` and `diagnose` read instead of the CSV while its
-key matches: the CRC-32 and byte count of the CSV with the config keys the
-parse depends on. It is not an artifact and is safe to delete.
+codes. While its key matches (the CRC-32 and byte count of the CSV and the
+config keys the parse and splits depend on) `evaluate` and `diagnose` read
+all they need from it, and otherwise parse the CSV and draw the rows as
+`partition` does. It is not an artifact and is safe to delete.
 
 All JSON artifacts are deterministic byte-for-byte under identical inputs
 and seed: wall-clock values never enter them and land in the run_log.json
@@ -187,7 +188,8 @@ CACHE_DIR = ".spfp_cache"
 # once in 2**256) and catches every burst edit of 32 bits or less; it costs
 # about a third as much as a SHA-256, whose import would map OpenSSL's
 # libcrypto (3.4 MB RSS) into `diagnose` and `evaluate`.
-_CACHE_KEYS = ("target", "missing_policy", "test_fraction", "seed", "bins", "discretizer")
+_CACHE_KEYS = ("target", "missing_policy", "test_fraction", "holdout_fraction", "seed", "bins",
+               "discretizer")
 
 
 def _cache_key(rc: RunConfig) -> dict | None:
@@ -231,8 +233,10 @@ def _read_cache(cache: Path, rc: RunConfig, *names: str) -> tuple[dict, dict] | 
         if key is None or meta["key"] != key:
             return None
         n, n_train, width = meta["n_rows"], meta["n_train_rows"], len(meta["feature_names"])
+        n_holdout = meta["n_holdout_rows"]
         expected = {  # dtype and shape: the parsed table, then the training rows
             "features": (np.float64, (n, width)), "target": (np.intp, (n,)),
+            "rows": (np.int8, (n,)),
             # discretize's code dtype; codes saved in another one read as a miss
             "codes": (np.min_scalar_type(rc.bins - 1), (n_train, width)),
             "train_target": (np.intp, (n_train,)),
@@ -243,6 +247,10 @@ def _read_cache(cache: Path, rc: RunConfig, *names: str) -> tuple[dict, dict] | 
             if (a.dtype, a.shape) != expected[name]:
                 return None
             arrays[name] = a
+        # each role's row count must be key.json's; a negative role raises
+        if "rows" in arrays and np.bincount(arrays["rows"], minlength=3).tolist() != [
+                n_train - n_holdout, n_holdout, n - n_train]:
+            return None
     except (OSError, EOFError, ValueError, KeyError, TypeError):
         return None
     return meta, arrays
@@ -251,14 +259,6 @@ def _read_cache(cache: Path, rc: RunConfig, *names: str) -> tuple[dict, dict] | 
 # Each row's role in rows.npy: the outer split's test rows, and the training
 # rows split again into the inner training rows and the holdout.
 ROLE_TRAIN, ROLE_HOLDOUT, ROLE_TEST = 0, 1, 2
-
-
-def _draw_split(d: Dataset, rc: RunConfig) -> np.ndarray:
-    """Each row's role as the outer train/test split draws it; no holdout."""
-    _, test_idx = split_rows(d, SplitSpec(rc.test_fraction, rc.seed))
-    roles = np.full(d.n_rows, ROLE_TRAIN, dtype=np.int8)
-    roles[test_idx] = ROLE_TEST
-    return roles
 
 
 def _draw_holdout(roles: np.ndarray, d: Dataset, rc: RunConfig) -> None:
@@ -270,65 +270,47 @@ def _draw_holdout(roles: np.ndarray, d: Dataset, rc: RunConfig) -> None:
     roles[train_idx[held]] = ROLE_HOLDOUT
 
 
-def _cached_roles(cache: Path, meta: dict, holdout_fraction: float | None) -> np.ndarray | None:
-    """The rows' roles `partition` saved with the key.json `meta`, if it
-    drew the holdout at `holdout_fraction` (None: no holdout is needed);
-    None if rows.npy is absent or malformed or its role counts are not
-    key.json's."""
+def _draw_roles(d: Dataset, rc: RunConfig) -> np.ndarray:
+    """Each row's role as `partition` draws it: the outer train/test split,
+    then the holdout split of the training rows. Where a class has a single
+    training row no row is holdout; `evaluate` reports the class."""
+    _, test_idx = split_rows(d, SplitSpec(rc.test_fraction, rc.seed))
+    roles = np.full(d.n_rows, ROLE_TRAIN, dtype=np.int8)
+    roles[test_idx] = ROLE_TEST
     try:
-        roles = np.load(cache / "rows.npy", allow_pickle=False)
-        if roles.dtype != np.int8 or roles.shape != (meta["n_rows"],):
-            return None
-        n, n_train, n_holdout = meta["n_rows"], meta["n_train_rows"], meta["n_holdout_rows"]
-        counts = np.bincount(roles, minlength=3).tolist()  # a negative role raises
-        if counts != [n_train - n_holdout, n_holdout, n - n_train]:
-            return None
-        if holdout_fraction is not None and meta["holdout_fraction"] != holdout_fraction:
-            return None
-    except (OSError, EOFError, ValueError, KeyError, TypeError):
-        return None
+        _draw_holdout(roles, d, rc)
+    except DataError:
+        pass
     return roles
 
 
 def _load_and_split(
     rc: RunConfig, cache: Path, built_in: bool = True
 ) -> tuple[Dataset, np.ndarray, dict]:
-    """The dataset, each row's role and the load log for run_log.json: the
-    parse cache's outcome and where the roles came from (`row_split`). On a
-    hit the roles are read from rows.npy, with the holdout for the
-    `built_in` models; where they cannot be, the outer split is drawn and
-    the holdout left to `_draw_holdout`. Without `built_in` a hit reads the
-    target alone, as the split does, and the dataset holds no feature
-    columns."""
-    hit = _read_cache(cache, rc, *(("features",) if built_in else ()), "target")
-    roles = None
+    """The dataset, each row's role and the load log for run_log.json. A hit
+    reads the roles from rows.npy; a miss parses the CSV and draws them as
+    `partition` does. Without `built_in` a hit reads the target alone, as
+    the split does, and the dataset holds no feature columns."""
+    hit = _read_cache(cache, rc, *(("features",) if built_in else ()), "target", "rows")
     if hit is None:
         d = load_csv(rc.input, rc.target, missing_policy=rc.missing_policy)
-        load_log = {**_load_counters(d), "parse_cache": "miss"}
-    else:
-        meta, arrays = hit
-        table = arrays.get("features", np.empty((meta["n_rows"], 0)))
-        d = Dataset(table, tuple(meta["feature_names"]), arrays["target"],
-                    tuple(meta["class_names"]))
-        load_log = {**meta["load_counters"], "parse_cache": "hit"}
-        roles = _cached_roles(cache, meta, rc.holdout_fraction if built_in else None)
-    load_log["row_split"] = "drawn" if roles is None else "cache"
-    return d, _draw_split(d, rc) if roles is None else roles, load_log
+        return d, _draw_roles(d, rc), {**_load_counters(d), "parse_cache": "miss"}
+    meta, arrays = hit
+    table = arrays.get("features", np.empty((meta["n_rows"], 0)))
+    d = Dataset(table, tuple(meta["feature_names"]), arrays["target"],
+                tuple(meta["class_names"]))
+    return d, arrays["rows"], {**meta["load_counters"], "parse_cache": "hit"}
 
 
 def _load_train(rc: RunConfig, cache: Path | None = None) -> tuple[Dataset, np.ndarray, dict]:
     """The training rows of the dataset, each row's role and the load
     counters, without building the test rows or keeping the full table:
     `partition` and `diagnose` read the training rows alone. With `cache`,
-    the holdout is drawn too, and the parsed table and the roles are saved
-    there before the table is dropped."""
+    the parsed table and the roles are saved there before the table is
+    dropped."""
     d = load_csv(rc.input, rc.target, missing_policy=rc.missing_policy)
-    roles = _draw_split(d, rc)
+    roles = _draw_roles(d, rc)
     if cache is not None:
-        try:
-            _draw_holdout(roles, d, rc)
-        except DataError:  # a class with one training row; evaluate's draw reports it
-            pass
         _save_cache(cache, {"features": d.features, "target": d.target, "rows": roles})
     return d.subset(np.flatnonzero(roles != ROLE_TEST)), roles, _load_counters(d)
 
@@ -414,8 +396,7 @@ def cmd_partition(args) -> int:
         {"codes": codes, "train_target": train.target},
         {"key": key, "n_rows": roles.size, "n_train_rows": train.n_rows,
          "feature_names": list(train.feature_names), "class_names": list(train.class_names),
-         "load_counters": load_counters, "n_holdout_rows": n_holdout_rows,
-         "holdout_fraction": rc.holdout_fraction if n_holdout_rows else None},
+         "load_counters": load_counters, "n_holdout_rows": n_holdout_rows},
     )
     vs = partition(train, rc, codes)
 
@@ -549,9 +530,9 @@ def cmd_evaluate(args) -> int:
     n_classes = d.n_classes
     test = d.subset(np.flatnonzero(roles == ROLE_TEST))
     if not args.import_proba:
-        if load_log["row_split"] == "drawn":
-            # here, so a views file that does not fit the dataset is
-            # reported before a class too small for the holdout
+        if not (roles == ROLE_HOLDOUT).any():
+            # a class with a single training row: the draw reports it, here
+            # so that a views file that does not fit the dataset is reported first
             _draw_holdout(roles, d, rc)
         inner_train, holdout = (d.subset(np.flatnonzero(roles == role))
                                 for role in (ROLE_TRAIN, ROLE_HOLDOUT))

@@ -10,7 +10,7 @@ Reserved purpose codes:
 * ``REMOVAL_STREAM``  -- per-view feature removal; index = 0-based view number
 * ``HOLDOUT_STREAM``  -- validation holdout used for ensemble weights;
   `partition` draws it with the train/test split and saves both in the
-  parse cache, which `evaluate` reads instead of drawing them again
+  parse cache, which `evaluate` reads on a hit instead of drawing them again
 * ``BOOTSTRAP_STREAM``-- bootstrap resampling; no index: each bootstrap_ci
   call, and each run count of win_tie_loss (its metrics share the draw,
   each interval that of its own call), draws every replicate from

@@ -249,8 +249,7 @@ class TestStartup:
         if imported:
             argv += ["--import-proba", str(write_imported(tmp_path))]
         assert self.loaded([argv], "numpy.random", "hashlib", "_hashlib") == []
-        entry = read_json(tmp_path / "run_log.json")["evaluate"]
-        assert (entry["parse_cache"], entry["row_split"]) == ("hit", "cache")
+        assert read_json(tmp_path / "run_log.json")["evaluate"]["parse_cache"] == "hit"
 
 
 class TestPartitionCommand:
@@ -1378,8 +1377,8 @@ class TestParseCache:
         assert self.outcomes(logs) == self.ALL_MISS
 
     @pytest.mark.parametrize("key,value", [
-        ("missing_policy", "median"), ("test_fraction", 0.25), ("seed", 8), ("bins", 4),
-        ("discretizer", "equal_width"),
+        ("missing_policy", "median"), ("test_fraction", 0.25), ("holdout_fraction", 0.3),
+        ("seed", 8), ("bins", 4), ("discretizer", "equal_width"),
     ])
     def test_other_config_key_is_a_miss(self, partitioned, key, value):
         tmp_path, _ = partitioned
@@ -1391,7 +1390,14 @@ class TestParseCache:
         assert self.outcomes(logs) == self.ALL_MISS
 
     READERS = {"features": ("evaluate",), "target": ("evaluate", "evaluate import"),
+               "rows": ("evaluate", "evaluate import"),
                "codes": ("diagnose",), "train_target": ("diagnose",)}
+
+    def test_every_cached_array_is_damaged_below(self, partitioned):
+        # an array partition saves without a READERS entry would skip the damage tests
+        tmp_path, _ = partitioned
+        stems = sorted(path.stem for path in (tmp_path / CACHE_DIR).glob("*.npy"))
+        assert stems == sorted(self.READERS)
 
     @pytest.mark.parametrize("name", sorted(READERS))
     @pytest.mark.parametrize("edit", [
@@ -1409,6 +1415,22 @@ class TestParseCache:
         assert "error" not in capsys.readouterr().err
         expected = {stage: "miss" if stage in self.READERS[name] else "hit" for stage in logs}
         assert self.outcomes(logs) == expected
+
+    @pytest.mark.parametrize("role,to", [(0, 3), (2, -1), (2, 0), (0, 1)],
+                             ids=["role_3", "negative_role", "test_row_as_training",
+                                  "training_row_as_holdout"])
+    def test_miscounted_roles_are_a_miss(self, partitioned, role, to):
+        # rows.npy's role counts must be key.json's (0 inner training row,
+        # 1 holdout, 2 test row); a miss draws the rows that partition drew
+        tmp_path, _ = partitioned
+        intact, _ = self.stages(tmp_path)
+        path = tmp_path / CACHE_DIR / "rows.npy"
+        roles = np.load(path)
+        roles[np.flatnonzero(roles == role)[0]] = to
+        np.save(path, roles)
+        drawn, logs = self.stages(tmp_path)
+        assert self.outcomes(logs) == {**self.ALL_MISS, "diagnose": "hit"}
+        assert drawn == intact
 
     def test_int64_codes_of_an_older_cache_are_a_miss(self, partitioned):
         # a cache written before the codes were narrowed holds them as int64
@@ -1493,12 +1515,12 @@ class TestParseCache:
 class TestCachedRowSplit:
     """`partition` saves each row's role in the outer and holdout splits as
     rows.npy in the parse cache; `evaluate` reads its rows from there on a
-    hit and draws them, with the same results, when it cannot."""
+    hit and draws them, with the same results, on a miss."""
 
     @staticmethod
     def evaluate(tmp_path: Path, *flags: str) -> tuple[dict, dict]:
         """Run `evaluate` on the built-in models and on imported files, with
-        `flags`: each one's metrics.json bytes and run-log `row_split`."""
+        `flags`: each one's metrics.json bytes and run-log `parse_cache`."""
         pdir = tmp_path / "imported"
         if not pdir.exists():
             write_imported(tmp_path)
@@ -1506,10 +1528,9 @@ class TestCachedRowSplit:
         assert main(["evaluate", "--out", str(tmp_path), *flags]) == 0
         assert main(["evaluate", "--views-file", str(tmp_path / "views.json"),
                      "--import-proba", str(pdir), "--out", str(outs["import"]), *flags]) == 0
-        logs = {name: read_json(out / "run_log.json")["evaluate"] for name, out in outs.items()}
-        assert all(entry["parse_cache"] == "hit" for entry in logs.values())
         return ({name: (out / "metrics.json").read_bytes() for name, out in outs.items()},
-                {name: entry["row_split"] for name, entry in logs.items()})
+                {name: read_json(out / "run_log.json")["evaluate"]["parse_cache"]
+                 for name, out in outs.items()})
 
     def test_roles_are_the_drawn_splits(self, partitioned):
         tmp_path, csv_path = partitioned
@@ -1522,43 +1543,18 @@ class TestCachedRowSplit:
                                             HOLDOUT_STREAM)
         for role, rows in enumerate([train_idx[inner_idx], train_idx[holdout_idx], test_idx]):
             assert np.array_equal(np.flatnonzero(roles == role), rows)
-        assert (meta["holdout_fraction"], meta["n_holdout_rows"]) == (0.2, holdout_idx.size)
-
-    @staticmethod
-    def recast(path: Path, role: int, to: int) -> None:
-        """Give the first row of `role` in rows.npy the role `to`."""
-        roles = np.load(path)
-        roles[np.flatnonzero(roles == role)[0]] = to
-        np.save(path, roles)
-
-    @pytest.mark.parametrize("edit", [
-        lambda path: path.unlink(),
-        lambda path: np.save(path, np.load(path).astype(np.int16)),
-        lambda path: np.save(path, np.load(path)[:-1]),
-        lambda path: TestCachedRowSplit.recast(path, 0, 3),
-        lambda path: TestCachedRowSplit.recast(path, 2, -1),
-        lambda path: TestCachedRowSplit.recast(path, 2, 0),
-        lambda path: TestCachedRowSplit.recast(path, 0, 1),
-    ], ids=["absent", "int16", "one_row_short", "role_3", "negative_role",
-            "test_row_as_training", "training_row_as_holdout"])
-    def test_damaged_split_file_is_drawn(self, partitioned, edit):
-        tmp_path, _ = partitioned
-        cached, split_from = self.evaluate(tmp_path)
-        assert split_from == {"built_in": "cache", "import": "cache"}
-        edit(tmp_path / CACHE_DIR / "rows.npy")
-        drawn, split_from = self.evaluate(tmp_path)
-        assert split_from == {"built_in": "drawn", "import": "drawn"}
-        assert drawn == cached
+        assert (meta["key"]["holdout_fraction"], meta["n_holdout_rows"]) == (0.2, holdout_idx.size)
 
     def test_other_holdout_fraction_is_drawn(self, partitioned):
-        # the import path has no holdout, so any fraction reads the split
+        # the fraction is in the cache's key, so another one is a miss on
+        # both paths, the same as having no cache
         tmp_path, _ = partitioned
-        cached, split_from = self.evaluate(tmp_path, "--holdout-frac", "0.3")
-        assert split_from == {"built_in": "drawn", "import": "cache"}
+        cached, outcomes = self.evaluate(tmp_path, "--holdout-frac", "0.3")
+        assert outcomes == {"built_in": "miss", "import": "miss"}
         assert read_json(tmp_path / "metrics.json")["weighting"]["holdout_fraction"] == 0.3
-        (tmp_path / CACHE_DIR / "rows.npy").unlink()
-        drawn, split_from = self.evaluate(tmp_path, "--holdout-frac", "0.3")
-        assert split_from == {"built_in": "drawn", "import": "drawn"}
+        shutil.rmtree(tmp_path / CACHE_DIR)
+        drawn, outcomes = self.evaluate(tmp_path, "--holdout-frac", "0.3")
+        assert outcomes == {"built_in": "miss", "import": "miss"}
         assert drawn == cached
 
     def test_class_with_one_training_row(self, workdir, capsys):
@@ -1569,17 +1565,22 @@ class TestCachedRowSplit:
             fh.write("".join(",".join(["1"] * 12 + ["rare"]) + "\n" for _ in range(2)))
         assert main(partition_argv(csv_path, tmp_path)) == 0
         meta = read_json(tmp_path / CACHE_DIR / "key.json")
-        assert (meta["holdout_fraction"], meta["n_holdout_rows"]) == (None, 0)
-        capsys.readouterr()
-        assert main(["evaluate", "--out", str(tmp_path)]) == 3
-        assert capsys.readouterr().err == (
-            "error: class 'rare' has fewer than 2 rows; cannot appear in both sides\n")
-        # a views file that does not fit the dataset is reported first
-        doc = read_json(tmp_path / "views.json")
+        assert (meta["key"]["holdout_fraction"], meta["n_holdout_rows"]) == (0.2, 0)
+        views = (tmp_path / "views.json").read_text(encoding="utf-8")
+        doc = json.loads(views)
         doc["feature_names"][0] = "g0"
-        (tmp_path / "views.json").write_text(json.dumps(doc), encoding="utf-8")
-        assert main(["evaluate", "--out", str(tmp_path)]) == 3
-        assert "dataset columns do not match the views file" in capsys.readouterr().err
+        capsys.readouterr()
+        for outcome in ("hit", "miss"):
+            if outcome == "miss":
+                shutil.rmtree(tmp_path / CACHE_DIR)
+            (tmp_path / "views.json").write_text(views, encoding="utf-8")
+            assert main(["evaluate", "--out", str(tmp_path)]) == 3
+            assert capsys.readouterr().err == (
+                "error: class 'rare' has fewer than 2 rows; cannot appear in both sides\n")
+            # a views file that does not fit the dataset is reported first
+            (tmp_path / "views.json").write_text(json.dumps(doc), encoding="utf-8")
+            assert main(["evaluate", "--out", str(tmp_path)]) == 3
+            assert "dataset columns do not match the views file" in capsys.readouterr().err
 
 
 def write_matrix_csv(path: Path, columns: dict) -> None:
